@@ -28,15 +28,41 @@ Quickstart::
     print(result.training_energy)
 """
 
-from repro import obs
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
 from repro._version import __version__
-from repro.clock import SimulationClock
-from repro.core import BoFLConfig, BoFLController
-from repro.core.records import CampaignResult, RoundRecord
-from repro.hardware import SimulatedDevice, get_device, jetson_agx, jetson_tx2
-from repro.sim import run_campaign
-from repro.types import DvfsConfiguration, PerformanceSample
-from repro.workloads import get_workload
+
+if TYPE_CHECKING:
+    from repro import obs
+    from repro.clock import SimulationClock
+    from repro.core import BoFLConfig, BoFLController
+    from repro.core.records import CampaignResult, RoundRecord
+    from repro.hardware import SimulatedDevice, get_device, jetson_agx, jetson_tx2
+    from repro.sim import run_campaign
+    from repro.types import DvfsConfiguration, PerformanceSample
+    from repro.workloads import get_workload
+
+#: Re-exports served lazily (PEP 562), by defining module.  Every
+#: ``import repro.x`` runs this file first, so an eager re-export would
+#: load its whole layer (and the BO stack's scipy) into every process.
+_LAZY_EXPORTS = {
+    "BoFLConfig": "repro.core.config",
+    "BoFLController": "repro.core.controller",
+    "CampaignResult": "repro.core.records",
+    "DvfsConfiguration": "repro.types",
+    "PerformanceSample": "repro.types",
+    "RoundRecord": "repro.core.records",
+    "SimulatedDevice": "repro.hardware.device",
+    "SimulationClock": "repro.clock",
+    "get_device": "repro.hardware.devices",
+    "get_workload": "repro.workloads.zoo",
+    "jetson_agx": "repro.hardware.devices",
+    "jetson_tx2": "repro.hardware.devices",
+    "run_campaign": "repro.sim.runner",
+}
 
 
 def quick_campaign(
@@ -52,7 +78,9 @@ def quick_campaign(
     A convenience wrapper over :func:`repro.sim.run_campaign` for
     notebooks and the quickstart example.
     """
-    return run_campaign(
+    from repro.sim import runner
+
+    return runner.run_campaign(
         device, task, controller, deadline_ratio, rounds=rounds, seed=seed
     )
 
@@ -75,3 +103,12 @@ __all__ = [
     "quick_campaign",
     "run_campaign",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name == "obs":
+        return importlib.import_module("repro.obs")
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

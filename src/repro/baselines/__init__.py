@@ -16,11 +16,16 @@
   the kernel's frequency scaling.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.baselines.performant import PerformantController
 from repro.baselines.oracle import OracleController
-from repro.baselines.random_only import RandomSearchController
 from repro.baselines.linear_pace import LinearPaceController
 from repro.baselines.governor import OndemandGovernorController
+
+if TYPE_CHECKING:
+    from repro.baselines.random_only import RandomSearchController
 
 __all__ = [
     "LinearPaceController",
@@ -29,3 +34,11 @@ __all__ = [
     "PerformantController",
     "RandomSearchController",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # Served lazily (PEP 562): it subclasses BoFLController, whose MBO
+    # engine imports scipy.
+    if name == "RandomSearchController":
+        return importlib.import_module("repro.baselines.random_only").RandomSearchController
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

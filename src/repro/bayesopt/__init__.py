@@ -16,8 +16,10 @@ stack is self-contained:
   safe random exploration phase (§4.2, "Sample selection").
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.bayesopt.kernels import Kernel, Matern52, RBF
-from repro.bayesopt.gp import GaussianProcess
 from repro.bayesopt.pareto import (
     crowding_distance,
     pareto_front,
@@ -28,13 +30,30 @@ from repro.bayesopt.hypervolume import (
     hypervolume_2d,
     hypervolume_improvement_2d,
 )
-from repro.bayesopt.acquisition import (
-    expected_hypervolume_improvement,
-    expected_improvement,
-)
-from repro.bayesopt.sampling import sobol_configurations, uniform_configurations
-from repro.bayesopt.optimizer import MultiObjectiveBayesianOptimizer
-from repro.bayesopt.parego import ParEGOSuggester, tchebycheff_scalarize
+
+if TYPE_CHECKING:
+    from repro.bayesopt.acquisition import (
+        expected_hypervolume_improvement,
+        expected_improvement,
+    )
+    from repro.bayesopt.gp import GaussianProcess
+    from repro.bayesopt.optimizer import MultiObjectiveBayesianOptimizer
+    from repro.bayesopt.parego import ParEGOSuggester, tchebycheff_scalarize
+    from repro.bayesopt.sampling import sobol_configurations, uniform_configurations
+
+#: Names served lazily (PEP 562), by defining module.  The GP stack
+#: imports scipy, which only a GP fit needs; importing the package
+#: (e.g. for ``pareto``) stays numpy-only.
+_LAZY_EXPORTS = {
+    "GaussianProcess": "repro.bayesopt.gp",
+    "MultiObjectiveBayesianOptimizer": "repro.bayesopt.optimizer",
+    "ParEGOSuggester": "repro.bayesopt.parego",
+    "expected_hypervolume_improvement": "repro.bayesopt.acquisition",
+    "expected_improvement": "repro.bayesopt.acquisition",
+    "sobol_configurations": "repro.bayesopt.sampling",
+    "tchebycheff_scalarize": "repro.bayesopt.parego",
+    "uniform_configurations": "repro.bayesopt.sampling",
+}
 
 __all__ = [
     "GaussianProcess",
@@ -55,3 +74,10 @@ __all__ = [
     "tchebycheff_scalarize",
     "uniform_configurations",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

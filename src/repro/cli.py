@@ -55,7 +55,6 @@ from repro import obs
 from repro._version import __version__
 from repro.analysis.tables import render_kv
 from repro.errors import ConfigurationError
-from repro.experiments import EXPERIMENTS, get_experiment, warm_experiment_cache
 from repro.federated.async_engine import (
     FLEET_DETAILS,
     FLEET_ENGINES,
@@ -510,6 +509,10 @@ def _normalize_workers(workers: int) -> Optional[int]:
 
 
 def _cmd_list() -> str:
+    # The registry imports every experiment driver, the BO stack (and
+    # scipy) with them; only ``list`` and ``run`` need it.
+    from repro.experiments import EXPERIMENTS
+
     lines = ["Reproducible artifacts:"]
     for experiment_id in sorted(EXPERIMENTS):
         experiment = EXPERIMENTS[experiment_id]
@@ -519,6 +522,8 @@ def _cmd_list() -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from repro.experiments import get_experiment, warm_experiment_cache
+
     experiment = get_experiment(args.experiment)
     kwargs = {}
     if args.rounds is not None:

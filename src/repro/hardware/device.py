@@ -19,7 +19,7 @@ Oracle baseline (offline exhaustive profiling in the paper) may use them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.clock import SimulationClock
 from repro.errors import DeviceError
@@ -31,7 +31,10 @@ from repro.hardware.perfmodel import AnalyticPerformanceModel
 from repro.hardware.telemetry import EnergyMeter, EventTimer, PowerSensor
 from repro.hardware.thermal import ThermalModel
 from repro.types import DvfsConfiguration, JobResult, Joules, PerformanceSample, Seconds
-from repro.workloads.base import WorkloadProfile
+
+if TYPE_CHECKING:
+    # Annotation only: workloads.base imports the hardware package.
+    from repro.workloads.base import WorkloadProfile
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ Typical use::
 Event kinds and metric names are documented in ``docs/observability.md``.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.obs.columnar import (
     COLUMNAR_FORMAT,
     COLUMNAR_VERSION,
@@ -56,18 +59,39 @@ from repro.obs.runtime import (
     suspended,
     timer,
 )
-from repro.obs.trace import (
-    CampaignTrace,
-    MBORunTrace,
-    RoundTrace,
-    derive_overhead_fractions,
-    derive_tab3_counts,
-    fig13_payload_from_trace,
-    find_campaign,
-    render_summary,
-    render_view,
-    replay_campaigns,
-    tab3_payload_from_trace,
+
+if TYPE_CHECKING:
+    from repro.obs.trace import (
+        CampaignTrace,
+        MBORunTrace,
+        RoundTrace,
+        derive_overhead_fractions,
+        derive_tab3_counts,
+        fig13_payload_from_trace,
+        find_campaign,
+        render_summary,
+        render_view,
+        replay_campaigns,
+        tab3_payload_from_trace,
+    )
+
+#: Trace-replay names, served lazily (PEP 562) from :mod:`repro.obs.trace`.
+#: It renders through :mod:`repro.analysis`, whose metrics import the
+#: hardware layer, which itself emits through ``repro.obs``: an eager
+#: import here would be a cycle, and would load the analysis stack into
+#: every process that only records events.
+_TRACE_EXPORTS = (
+    "CampaignTrace",
+    "MBORunTrace",
+    "RoundTrace",
+    "derive_overhead_fractions",
+    "derive_tab3_counts",
+    "fig13_payload_from_trace",
+    "find_campaign",
+    "render_summary",
+    "render_view",
+    "replay_campaigns",
+    "tab3_payload_from_trace",
 )
 
 __all__ = [
@@ -111,3 +135,9 @@ __all__ = [
     "tab3_payload_from_trace",
     "timer",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in _TRACE_EXPORTS:
+        return getattr(importlib.import_module("repro.obs.trace"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

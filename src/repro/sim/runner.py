@@ -15,7 +15,6 @@ from collections.abc import Callable
 from typing import Optional, Protocol
 
 from repro.core.config import BoFLConfig
-from repro.core.controller import BoFLController
 from repro.core.base import PaceController
 from repro.core.records import CampaignResult, ChaosSummary
 from repro.baselines import (
@@ -23,7 +22,6 @@ from repro.baselines import (
     OndemandGovernorController,
     OracleController,
     PerformantController,
-    RandomSearchController,
 )
 from repro.errors import ConfigurationError
 from repro.faults.engine import ChaosRoundEngine
@@ -174,7 +172,10 @@ def make_controller(
 ) -> PaceController:
     """Instantiate a controller by name, bound to ``device``."""
     mbo_cost = MBOCostModel(device.spec) if with_mbo_cost else None
+    # The MBO controllers import scipy: load them only when one is built.
     if name == "bofl":
+        from repro.core.controller import BoFLController
+
         config = bofl_config if bofl_config is not None else BoFLConfig(seed=seed)
         return BoFLController(device, config, mbo_cost=mbo_cost)
     if name == "performant":
@@ -182,6 +183,8 @@ def make_controller(
     if name == "oracle":
         return OracleController(device)
     if name == "random_search":
+        from repro.baselines.random_only import RandomSearchController
+
         config = bofl_config if bofl_config is not None else BoFLConfig(seed=seed)
         return RandomSearchController(device, config, mbo_cost=mbo_cost)
     if name == "linear_pace":
@@ -402,6 +405,8 @@ def run_campaign(
 
 def _annotate(result: CampaignResult, controller: PaceController) -> None:
     """Fill retrospective fields (final front, Table 3 Pareto counts)."""
+    from repro.core.controller import BoFLController
+
     if isinstance(controller, BoFLController):
         front_configs, front_values = controller.store.pareto_set()
         result.final_front = [(float(t), float(e)) for t, e in front_values]

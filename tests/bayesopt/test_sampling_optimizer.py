@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bayesopt.optimizer import MultiObjectiveBayesianOptimizer
-from repro.bayesopt.sampling import sobol_configurations, uniform_configurations
+from repro.bayesopt.sampling import ScrambledSobol, sobol_configurations, uniform_configurations
 from repro.errors import NotFittedError, OptimizationError
+from repro.hardware.devices import get_device
 from repro.types import DvfsConfiguration
 
 
@@ -41,6 +42,30 @@ class TestSobolSampling:
     def test_rejects_zero(self, tiny_spec):
         with pytest.raises(OptimizationError):
             sobol_configurations(tiny_spec.space, 0, seed=0)
+
+    @pytest.mark.parametrize(("device", "n"), [("tx2", 935), ("tx2", 936), ("agx", 2100)])
+    def test_extends_past_two_batches(self, device, n, monkeypatch):
+        # Near-exhaustive draws need a third batch; every batch after the
+        # first doubles the total drawn, so it stays a power of two.
+        batches = []
+        points = ScrambledSobol.points
+
+        def recorded(self, start, stop):
+            batches.append((start, stop))
+            return points(self, start, stop)
+
+        monkeypatch.setattr(ScrambledSobol, "points", recorded)
+        picks = sobol_configurations(get_device(device).space, n, seed=0)
+        assert len(set(picks)) == n
+        assert len(batches) > 2
+        assert [start for start, _ in batches] == [0] + [stop for _, stop in batches[:-1]]
+        assert all(stop == 2 * start for start, stop in batches[1:])
+
+    def test_raises_once_the_sequence_runs_out(self, tiny_spec, monkeypatch):
+        # A sequence stuck on one point never yields a second configuration.
+        monkeypatch.setattr(ScrambledSobol, "points", lambda self, start, stop: np.zeros((1, 3)))
+        with pytest.raises(OptimizationError, match="exhausted"):
+            sobol_configurations(tiny_spec.space, 2, seed=0)
 
 
 class TestUniformSampling:
