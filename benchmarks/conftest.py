@@ -26,6 +26,13 @@ import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
+# bench_fleet_scale.py gates against the per-event reference loop in
+# tests/federated/reference_fleet.py; `pytest benchmarks/` started as a
+# console script does not put the repository root on the import path.
+REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+
 
 def pytest_sessionstart(session):
     """Optionally warm the campaign caches in parallel (opt-in via env)."""

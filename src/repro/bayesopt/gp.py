@@ -313,16 +313,16 @@ class GaussianProcess:
         x_new: np.ndarray,
         y_new: np.ndarray,
         *,
-        fast: bool = True,
         l21: Optional[np.ndarray] = None,
     ) -> "GaussianProcess":
         """A new GP with (x_new, y_new) appended — for Kriging-believer batching.
 
         Hyperparameters are copied, not re-optimized (fantasy updates must
-        be cheap; see §4.3, "Batch Selection Strategy").  With ``fast``
-        (the default) the existing Cholesky factor is extended by a block
-        row in O(n^2) instead of refit from scratch in O(n^3); the two
-        paths agree to float rounding (see ``docs/kernel_fastpath.md``).
+        be cheap; see §4.3, "Batch Selection Strategy").  The existing
+        Cholesky factor is extended by a block row in O(n^2) instead of
+        refit from scratch in O(n^3); the two agree to float rounding (see
+        ``docs/kernel_fastpath.md``).  A GP without a factor falls back
+        to :meth:`fit`.
 
         ``l21`` optionally supplies the precomputed forward substitution
         ``L^-1 k(X, x_new)`` — e.g. a cached :class:`BatchPosterior`
@@ -341,11 +341,11 @@ class GaussianProcess:
             normalize_y=self.normalize_y,
             jitter=self.jitter,
         )
-        if not fast or self._chol is None:
+        if self._chol is None:
             clone.fit(x_all, y_all)
             return clone
-        # Fast path: standardize exactly as fit() would, then extend the
-        # factor.  With L the current factor and k the cross-covariances,
+        # Standardize exactly as fit() would, then extend the factor.
+        # With L the current factor and k the cross-covariances,
         #     L_new = [[L, 0], [l21^T, l22]],
         #     l21 = L^-1 k,   l22 = chol(K_new - l21^T l21)
         # (the Schur complement), so only the new rows cost anything.

@@ -19,10 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bayesopt.acquisition import (
-    ehvi_argmax,
-    expected_hypervolume_improvement,
-)
+from repro.bayesopt.acquisition import ehvi_argmax
 from repro.bayesopt.gp import BatchPosterior, GaussianProcess
 from repro.bayesopt.hypervolume import hypervolume_2d, reference_from_observations
 from repro.bayesopt.kernels import Matern52
@@ -54,11 +51,11 @@ class MultiObjectiveBayesianOptimizer:
         random L-BFGS-B restarts: the incumbent start is already near the
         optimum, which is what makes repeated refits cheap.  The first fit
         is always cold, so single-fit behavior is unchanged.
-    fast_path:
-        Use the O(n^2) rank-1 Cholesky extension and the cached candidate
-        posterior in :meth:`suggest` (see ``docs/kernel_fastpath.md``).
-        ``False`` restores the O(n^3)-per-pick refit loop — kept for the
-        equivalence tests and benchmarks.
+
+    :meth:`suggest` extends the fantasy GPs by rank-1 Cholesky updates
+    over a cached candidate posterior (see ``docs/kernel_fastpath.md``);
+    ``tests/bayesopt/test_fastpath.py`` pins its picks to an
+    O(n^3)-per-pick refit loop.
     """
 
     def __init__(
@@ -69,14 +66,12 @@ class MultiObjectiveBayesianOptimizer:
         fit_restarts: int = 2,
         reference_margin: float = 0.05,
         warm_start: bool = True,
-        fast_path: bool = True,
     ) -> None:
         self.space = space
         self._rng = np.random.default_rng(seed)
         self.fit_restarts = fit_restarts
         self.reference_margin = reference_margin
         self.warm_start = warm_start
-        self.fast_path = fast_path
         self._observations: dict[DvfsConfiguration, tuple[float, float]] = {}
         self._gp_latency: Optional[GaussianProcess] = None
         self._gp_energy: Optional[GaussianProcess] = None
@@ -245,13 +240,12 @@ class MultiObjectiveBayesianOptimizer:
         if self._gp_latency is None or self._gp_energy is None:
             raise NotFittedError("call fit() before suggest()")
         gp_l, gp_e = self._gp_latency, self._gp_energy
-        fast = self.fast_path
         # The candidate set and the base posteriors are pure functions of
         # (fitted GPs, observation set), so repeated suggests against an
         # unchanged optimizer reuse them.  Any refit bumps ``fit_count``
         # and any new observation changes ``n_observations``, so staleness
         # is impossible; ``exclude`` bypasses the cache entirely.
-        cached = self._suggest_cache if fast and not exclude else None
+        cached = self._suggest_cache if not exclude else None
         candidates: Optional[list[DvfsConfiguration]] = None
         post_l: Optional[BatchPosterior] = None
         post_e: Optional[BatchPosterior] = None
@@ -275,7 +269,7 @@ class MultiObjectiveBayesianOptimizer:
         front = observed[pareto_mask(observed)]
 
         n_picks = min(batch_size, len(candidates))
-        if fast and post_l is None:
+        if post_l is None or post_e is None:
             # Cache k(X, C) and L^-1 k(X, C) over the full candidate set
             # once; each fantasy pick extends them by a single row instead
             # of rebuilding the O(n^2 m) substitution from scratch.  The
@@ -297,28 +291,16 @@ class MultiObjectiveBayesianOptimizer:
         ehvi_evaluations = 0
         n_active = len(candidates)
         for _ in range(n_picks):
-            if fast and post_l is not None and post_e is not None:
-                # Work in global candidate indices: the cached posteriors
-                # cover every candidate, and ehvi_argmax masks out the
-                # already-picked rows — no per-pick array compaction.
-                mean_l, var_l = post_l.predict()
-                mean_e, var_e = post_e.predict()
-                mean = np.stack([mean_l, mean_e], axis=1)
-                var = np.stack([var_l, var_e], axis=1)
-                best, best_ehvi = ehvi_argmax(
-                    mean, var, front, reference, active=active
-                )
-            else:
-                idx_active = np.flatnonzero(active)
-                x_active = candidate_x[idx_active]
-                mean_l, var_l = gp_l.predict(x_active)
-                mean_e, var_e = gp_e.predict(x_active)
-                mean = np.stack([mean_l, mean_e], axis=1)
-                var = np.stack([var_l, var_e], axis=1)
-                ehvi = expected_hypervolume_improvement(mean, var, front, reference)
-                best_local = int(np.argmax(ehvi))
-                best_ehvi = float(ehvi[best_local])
-                best = int(idx_active[best_local])
+            # Work in global candidate indices: the cached posteriors
+            # cover every candidate, and ehvi_argmax masks out the
+            # already-picked rows — no per-pick array compaction.
+            mean_l, var_l = post_l.predict()
+            mean_e, var_e = post_e.predict()
+            mean = np.stack([mean_l, mean_e], axis=1)
+            var = np.stack([var_l, var_e], axis=1)
+            best, best_ehvi = ehvi_argmax(
+                mean, var, front, reference, active=active
+            )
             ehvi_evaluations += n_active
             if max_ehvi_first is None:
                 max_ehvi_first = best_ehvi
@@ -336,33 +318,19 @@ class MultiObjectiveBayesianOptimizer:
             picks.append(candidates[best])
             active[best] = False
             n_active -= 1
-            # Kriging believer: pretend the pick returned its posterior mean.
+            # Kriging believer: pretend the pick returned its posterior
+            # mean.  The fantasy point is a candidate, so its cross-kernel
+            # forward substitution is already a cached column.
             fantasy_x = candidate_x[best : best + 1]
-            if fast and post_l is not None and post_e is not None:
-                # The fantasy point is a candidate: its cross-kernel
-                # forward substitution is already a cached column.
-                fantasy_row = best
-                gp_l = gp_l.conditioned_on(
-                    fantasy_x,
-                    mean_l[fantasy_row : fantasy_row + 1],
-                    l21=post_l.cross_column(best),
-                )
-                gp_e = gp_e.conditioned_on(
-                    fantasy_x,
-                    mean_e[fantasy_row : fantasy_row + 1],
-                    l21=post_e.cross_column(best),
-                )
-                post_l = post_l.extended(gp_l)
-                post_e = post_e.extended(gp_e)
-                front = np.vstack([front, mean[fantasy_row]])
-            else:
-                gp_l = gp_l.conditioned_on(
-                    fantasy_x, mean_l[best_local : best_local + 1], fast=fast
-                )
-                gp_e = gp_e.conditioned_on(
-                    fantasy_x, mean_e[best_local : best_local + 1], fast=fast
-                )
-                front = np.vstack([front, mean[best_local]])
+            gp_l = gp_l.conditioned_on(
+                fantasy_x, mean_l[best : best + 1], l21=post_l.cross_column(best)
+            )
+            gp_e = gp_e.conditioned_on(
+                fantasy_x, mean_e[best : best + 1], l21=post_e.cross_column(best)
+            )
+            post_l = post_l.extended(gp_l)
+            post_e = post_e.extended(gp_e)
+            front = np.vstack([front, mean[best]])
         self._last_max_ehvi = max_ehvi_first
         if obs.enabled():
             obs.count("mbo.ehvi_evaluations", ehvi_evaluations)

@@ -57,8 +57,8 @@ from repro.analysis.tables import render_kv
 from repro.errors import ConfigurationError
 from repro.federated.async_engine import (
     FLEET_DETAILS,
-    FLEET_ENGINES,
     FLEET_MODES,
+    check_detail,
 )
 from repro.sim import (
     CHAOS_PRESETS,
@@ -83,6 +83,7 @@ from repro.service import (
     run_loadtest,
     service_report_from_trace,
 )
+from repro.servertune.controllers import normalize_servertune
 from repro.sim.fleet import fleet_report_from_trace
 from repro.sim.executor import CampaignTiming, ProgressCallback
 from repro.sim.runner import CONTROLLER_NAMES
@@ -280,11 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--chaos", type=float, default=0.0, metavar="FRACTION",
         help="fraction of clients under dropout/stall chaos schedules",
-    )
-    fleet_run.add_argument(
-        "--engine", default="vectorized", choices=FLEET_ENGINES,
-        help="composition implementation: the vectorized structured-array "
-        "engine (default) or the retained legacy per-event loop",
     )
     fleet_run.add_argument(
         "--detail", default="reports", choices=FLEET_DETAILS,
@@ -767,9 +763,15 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         edges=args.edges,
         **extra,
     )
-    compose_kwargs = dict(
-        engine=args.engine, detail=args.detail, shards=args.compose_shards
+    # Reject a composition the engine would refuse before any campaign is
+    # simulated: at 100k clients trace gathering takes about a minute.
+    check_detail(
+        args.detail,
+        mode=spec.mode,
+        controlled=normalize_servertune(spec.servertune) is not None,
+        max_staleness=spec.max_staleness,
     )
+    compose_kwargs = dict(detail=args.detail, shards=args.compose_shards)
     # Trace gathering may shard over workers and hit caches; the
     # composition below is serial and pure, so the deterministic trace
     # captured around it is byte-identical regardless of --workers.

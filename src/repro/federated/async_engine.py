@@ -41,6 +41,12 @@ one-element update vector carrying the client's local-round progress, so
 the aggregation path is exercised for real and its output lands on the
 trace).
 
+This module holds the engine's configuration, its result types and the
+knob, selection and emission helpers; the composition itself runs on the
+flattened trace columns of :mod:`repro.federated.vector_engine`, held
+byte-identical to the per-event test oracle in
+``tests/federated/reference_fleet.py``.
+
 Fault composition: ``client_dropout`` windows are folded into the client
 *trace* (the chaos engine idles the device to the deadline and the report
 never leaves the client), while ``transport_stall`` windows act here, at
@@ -50,17 +56,14 @@ the same client without either subsystem knowing about the other.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Optional
 
-import numpy as np
-
 from repro.core.records import RoundRecord
 from repro.errors import ConfigurationError
 from repro.federated.aggregation import Aggregator, FedAvg
-from repro.federated.hierarchy import HierarchySpec, combine_hierarchical
+from repro.federated.hierarchy import HierarchySpec
 from repro.federated.selection import ClientSelector
 from repro.federated.transport import LinkModel
 from repro.faults.schedule import FaultSchedule, FaultSpec
@@ -75,17 +78,40 @@ from repro.types import Seconds
 #: Aggregation disciplines the engine understands.
 FLEET_MODES: tuple[str, ...] = ("sync", "semisync", "async")
 
-#: Composition implementations: the vectorized structured-array engine
-#: (default) and the retained per-event object loop it is differentially
-#: tested against.
-FLEET_ENGINES: tuple[str, ...] = ("vectorized", "legacy")
-
 #: Result granularities: ``reports`` materializes one
-#: :class:`FleetReport` per client report (full legacy fidelity);
+#: :class:`FleetReport` per client report;
 #: ``stats`` keeps only per-round aggregate counters
 #: (:class:`RoundStats`), the O(rounds)-memory shape that makes
 #: 100k–1M-client compositions fit in bounded RSS.
 FLEET_DETAILS: tuple[str, ...] = ("reports", "stats")
+
+
+def check_detail(
+    detail: str,
+    *,
+    mode: str,
+    controlled: bool,
+    max_staleness: Optional[int],
+) -> None:
+    """Reject a ``detail`` the engine cannot compose in ``mode``.
+
+    ``stats`` keeps no per-report objects, so an ``async`` composition
+    needs the static fast drain: no server controller (``controlled``)
+    and no ``max_staleness`` bound.  The CLI calls this before gathering
+    any traces, so an impossible run fails before any campaign is
+    simulated.
+    """
+    if detail not in FLEET_DETAILS:
+        raise ConfigurationError(
+            f"unknown detail {detail!r}; available: {', '.join(FLEET_DETAILS)}"
+        )
+    if detail == "stats" and mode == "async" and (
+        controlled or max_staleness is not None
+    ):
+        raise ConfigurationError(
+            "detail='stats' async composition requires the static fast "
+            "drain (no server controller, no max_staleness)"
+        )
 
 
 def staleness_weight(staleness: int, exponent: float) -> float:
@@ -128,15 +154,9 @@ class FleetClient:
     #: Trace-level chaos (e.g. dropout windows) folded into the client's
     #: campaign key by the fleet layer; the engine itself never reads it.
     fault_schedule: Optional[FaultSchedule] = None
-    #: The client's local-round trace (one entry per local round).
+    #: The client's local-round trace (one entry per local round); the
+    #: engine reads it and never modifies it.
     records: list[RoundRecord] = field(default_factory=list)
-
-    def stalled_in(self, local_round: int) -> Optional[FaultSpec]:
-        """The transport-stall window covering ``local_round``, if any."""
-        for window in self.stall_windows:
-            if window.active_in(local_round):
-                return window
-        return None
 
 
 @dataclass
@@ -169,7 +189,7 @@ class RoundStats:
     Holds exactly what the :class:`FleetResult` scorecard and the per-round
     observability events consume, so a stats-mode round carries O(1) memory
     instead of one :class:`FleetReport` per client.  ``energy`` is summed
-    in legacy report order (dropped reports first, then arrivals), keeping
+    in reports-mode order (dropped reports first, then arrivals), keeping
     the float total bit-identical to the reports-mode accumulation.
     """
 
@@ -384,20 +404,6 @@ class FleetResult:
         }
 
 
-@dataclass(frozen=True)
-class _Arrival:
-    """One report in flight: ordering key is (time, client index)."""
-
-    at: Seconds
-    order: int
-    client: FleetClient
-    local_round: int
-    record: RoundRecord
-    upload: Seconds
-    version_started: int
-    dropped: bool
-
-
 class AsyncFederationEngine:
     """Composes client traces into fleet rounds on a simulated clock.
 
@@ -431,28 +437,23 @@ class AsyncFederationEngine:
         the FedBuff commit threshold (async), and ``halt`` ends the run.
         ``None`` (and a controller pinned at the default knobs) composes
         byte-identically to the pre-controller engine.
-    engine:
-        ``"vectorized"`` (default) composes on the structured-array event
-        queues of :mod:`repro.federated.eventqueue`;
-        ``"legacy"`` retains the per-event object loop.  The two are
-        byte-identical (results, obs traces) — the differential suite in
-        ``tests/federated/test_vectorized_equivalence.py`` holds the line.
     detail:
         ``"reports"`` keeps one :class:`FleetReport` per client report;
         ``"stats"`` keeps per-round :class:`RoundStats` aggregates only
-        (O(rounds) memory — the 100k–1M-client shape).  Stats mode needs
-        the vectorized engine, and for ``async`` additionally the
-        controller-free, unbounded-staleness fast drain.
+        (O(rounds) memory — the 100k–1M-client shape).  For ``async``,
+        stats mode needs the controller-free, unbounded-staleness fast
+        drain (see :func:`check_detail`).
     hierarchy:
         Optional :class:`~repro.federated.hierarchy.HierarchySpec`: commit
         through edge aggregators (O(edges) server work) instead of the
-        flat fold.  A *different discipline*, not an optimization — but
-        one shared implementation, so the two engines still match bit for
-        bit under it.
+        flat fold.  A *different discipline*, not an optimization.
     shards:
         Thread-shard the upload-stream precompute across this many
-        contiguous client ranges (vectorized engine only); byte-identical
-        to the serial build for any value.
+        contiguous client ranges; byte-identical to the serial build for
+        any value.
+
+    The engine never modifies ``clients`` or their traces, so one
+    prepared population can be composed any number of times.
     """
 
     def __init__(
@@ -468,7 +469,6 @@ class AsyncFederationEngine:
         staleness_exponent: float = 0.5,
         max_staleness: Optional[int] = None,
         controller: Optional[ServerController] = None,
-        engine: str = "vectorized",
         detail: str = "reports",
         hierarchy: Optional[HierarchySpec] = None,
         shards: Optional[int] = None,
@@ -478,18 +478,6 @@ class AsyncFederationEngine:
         if mode not in FLEET_MODES:
             raise ConfigurationError(
                 f"unknown fleet mode {mode!r}; available: {', '.join(FLEET_MODES)}"
-            )
-        if engine not in FLEET_ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; available: {', '.join(FLEET_ENGINES)}"
-            )
-        if detail not in FLEET_DETAILS:
-            raise ConfigurationError(
-                f"unknown detail {detail!r}; available: {', '.join(FLEET_DETAILS)}"
-            )
-        if detail == "stats" and engine == "legacy":
-            raise ConfigurationError(
-                "detail='stats' requires the vectorized engine"
             )
         if buffer_size < 1:
             raise ConfigurationError(f"buffer_size must be >= 1, got {buffer_size}")
@@ -507,6 +495,12 @@ class AsyncFederationEngine:
             )
         if shards is not None and shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        check_detail(
+            detail,
+            mode=mode,
+            controlled=controller is not None,
+            max_staleness=max_staleness,
+        )
         self.clients = list(clients)
         self.mode = mode
         self.link = link if link is not None else LinkModel()
@@ -517,7 +511,6 @@ class AsyncFederationEngine:
         self.staleness_exponent = staleness_exponent
         self.max_staleness = max_staleness
         self.controller = controller
-        self.engine = engine
         self.detail = detail
         self.hierarchy = hierarchy
         self.shards = shards
@@ -527,144 +520,10 @@ class AsyncFederationEngine:
         self._base_selection: Optional[int] = getattr(
             selector, "participants_per_round", None
         )
-        self._by_id = {c.client_id: c for c in self.clients}
-        if len(self._by_id) != len(self.clients):
+        if len({c.client_id for c in self.clients}) != len(self.clients):
             raise ConfigurationError("fleet client ids must be unique")
-        #: Per-client upload RNG streams, built lazily: only the legacy
-        #: object loop draws them one launch at a time — the vectorized
-        #: engine precomputes whole streams in
-        #: :func:`repro.federated.eventqueue.build_trace_arrays`, and a
-        #: 100k-client fleet should not pay for 100k Generator objects
-        #: it never uses.
-        self._upload_rngs: Optional[dict[str, np.random.Generator]] = None
-        #: Next unconsumed local round per client.
-        self._cursor = {c.client_id: 0 for c in self.clients}
 
     # -- shared mechanics ----------------------------------------------------
-
-    def _next_record(self, client: FleetClient) -> Optional[RoundRecord]:
-        cursor = self._cursor[client.client_id]
-        if cursor >= len(client.records):
-            return None
-        self._cursor[client.client_id] = cursor + 1
-        return client.records[cursor]
-
-    def _upload_time(
-        self, client: FleetClient, local_round: int, record: RoundRecord
-    ) -> Seconds:
-        """Transfer time for one report, including transport-stall delay."""
-        if self._upload_rngs is None:
-            self._upload_rngs = {
-                c.client_id: np.random.default_rng(c.upload_seed)
-                for c in self.clients
-            }
-        rng = self._upload_rngs[client.client_id]
-        upload = self.link.transfer_time(client.model_size_mbit, rng)
-        stall = client.stalled_in(local_round)
-        if stall is not None:
-            upload += stall.magnitude * record.deadline
-        return upload
-
-    def _launch(
-        self, client: FleetClient, start: Seconds, order: int, version: int
-    ) -> Optional[_Arrival]:
-        """Start the client's next local round; None when its trace is dry."""
-        local_round = self._cursor[client.client_id]
-        record = self._next_record(client)
-        if record is None:
-            return None
-        dropped = record.phase == "dropped"
-        # A dropout round consumes the deadline (the board idles) but no
-        # report is ever uploaded; the "arrival" is just the client
-        # becoming available again.
-        upload = (
-            0.0 if dropped else self._upload_time(client, local_round, record)
-        )
-        return _Arrival(
-            at=start + record.elapsed + upload,
-            order=order,
-            client=client,
-            local_round=local_round,
-            record=record,
-            upload=upload,
-            version_started=version,
-            dropped=dropped,
-        )
-
-    def _observe_selector(self, report: FleetReport) -> None:
-        observe = getattr(self.selector, "observe", None)
-        if observe is not None:
-            observe(report.client_id, report.energy)
-
-    def _commit(self, round_record: FleetRound, version: int) -> int:
-        """Aggregate the round's buffered reports; returns the new version."""
-        buffered = round_record.buffered
-        if not buffered:
-            round_record.model_version = version
-            return version
-        progresses: list[float] = []
-        weights: list[float] = []
-        edges: list[int] = []
-        for report in buffered:
-            client = self._by_id[report.client_id]
-            trace_rounds = max(len(client.records), 1)
-            progresses.append((report.local_round + 1) / trace_rounds)
-            weights.append(report.weight)
-            if self.hierarchy is not None:
-                edges.append(self.hierarchy.edge_of(client.index))
-        if self.hierarchy is not None:
-            round_record.model_probe = combine_hierarchical(
-                self.aggregator,
-                self.hierarchy,
-                progresses,
-                weights,
-                edges,
-                t=round_record.completed_at,
-                round_index=round_record.round_index,
-                version=version + 1,
-            )
-        else:
-            updates = [[np.asarray([p], dtype=float)] for p in progresses]
-            combined = self.aggregator.aggregate(updates, weights)
-            round_record.model_probe = float(combined[0][0])
-        round_record.aggregated = True
-        version += 1
-        round_record.model_version = version
-        if obs.enabled():
-            obs.emit(
-                "fleet.aggregate",
-                t=round_record.completed_at,
-                round=round_record.round_index,
-                contributors=len(buffered),
-                weight_total=float(sum(weights)),
-                probe=round_record.model_probe,
-                version=version,
-            )
-            obs.count("fleet.aggregations")
-        return version
-
-    def _emit_enqueue(self, report: FleetReport, round_index: int) -> None:
-        if not obs.enabled():
-            return
-        obs.emit(
-            "fleet.enqueue",
-            t=report.arrival,
-            round=round_index,
-            client=report.client_id,
-            local_round=report.local_round,
-            staleness=report.staleness,
-            status=report.status,
-        )
-        obs.count("fleet.enqueues")
-        if report.status == "stale":
-            obs.emit(
-                "fleet.staleness_drop",
-                t=report.arrival,
-                round=round_index,
-                client=report.client_id,
-                staleness=report.staleness,
-            )
-            obs.count("fleet.staleness_drops")
 
     def _emit_round(self, round_record: FleetRound) -> None:
         if not obs.enabled():
@@ -708,14 +567,9 @@ class AsyncFederationEngine:
                     self.staleness_exponent if self.mode == "async" else None
                 ),
             )
-        if self.engine == "vectorized":
-            from repro.federated.vector_engine import run_vectorized
+        from repro.federated.vector_engine import run_vectorized
 
-            result = run_vectorized(self, rounds)
-        elif self.mode == "async":
-            result = self._run_async(rounds)
-        else:
-            result = self._run_rounds(rounds)
+        result = run_vectorized(self, rounds)
         if obs.enabled():
             obs.emit(
                 "fleet.end",
@@ -791,246 +645,3 @@ class AsyncFederationEngine:
                 1, round(self._base_selection * knobs.participation)
             )
         return list(self.selector.select(ids, round_index))
-
-    def _run_rounds(self, rounds: int) -> FleetResult:
-        """Synchronous and semi-synchronous composition."""
-        result = FleetResult(mode=self.mode, n_clients=len(self.clients))
-        version = 0
-        now: Seconds = 0.0
-        for round_index in range(rounds):
-            knobs = self._round_knobs(round_index)
-            if knobs is not None and knobs.halt:
-                self._emit_halt(round_index, now)
-                break
-            selected = self._select_ids(round_index, knobs)
-            round_record = FleetRound(
-                round_index=round_index,
-                started_at=now,
-                completed_at=now,
-                participants=list(selected),
-            )
-            arrivals: list[_Arrival] = []
-            for order, client_id in enumerate(selected):
-                client = self._by_id[client_id]
-                arrival = self._launch(client, now, order, version)
-                if arrival is None:
-                    continue  # trace exhausted: nothing left to contribute
-                if arrival.dropped:
-                    round_record.dropped.append(client_id)
-                    # The dropout's idle energy still belongs to the round.
-                    round_record.reports.append(
-                        FleetReport(
-                            client_id=client_id,
-                            local_round=arrival.local_round,
-                            arrival=arrival.at,
-                            train_elapsed=arrival.record.elapsed,
-                            upload=0.0,
-                            energy=arrival.record.energy,
-                            missed=True,
-                            status="straggler",
-                        )
-                    )
-                    continue
-                arrivals.append(arrival)
-            arrivals.sort(key=lambda a: (a.at, a.order))
-            cutoff_at = self._cutoff(arrivals, knobs)
-            patience_at = self._patience(now, arrivals, knobs)
-            if patience_at is not None and (
-                cutoff_at is None or patience_at < cutoff_at
-            ):
-                cutoff_at = patience_at
-            for arrival in arrivals:
-                missed = arrival.record.missed
-                if missed:
-                    status = "straggler"
-                elif cutoff_at is not None and arrival.at > cutoff_at:
-                    status = "cutoff"
-                else:
-                    status = "buffered"
-                report = FleetReport(
-                    client_id=arrival.client.client_id,
-                    local_round=arrival.local_round,
-                    arrival=arrival.at,
-                    train_elapsed=arrival.record.elapsed,
-                    upload=arrival.upload,
-                    energy=arrival.record.energy,
-                    missed=missed,
-                    staleness=0,
-                    weight=(
-                        float(arrival.client.n_samples)
-                        if status == "buffered"
-                        else 0.0
-                    ),
-                    status=status,
-                )
-                round_record.reports.append(report)
-                self._emit_enqueue(report, round_index)
-                self._observe_selector(report)
-            completed = self._round_close(round_record, arrivals, cutoff_at)
-            round_record.completed_at = max(completed, now)
-            version = self._commit(round_record, version)
-            result.rounds.append(round_record)
-            self._emit_round(round_record)
-            self._feed_controller(round_record, result)
-            now = round_record.completed_at
-        return result
-
-    def _cutoff(
-        self, arrivals: list[_Arrival], knobs: Optional[ServerKnobs] = None
-    ) -> Optional[Seconds]:
-        """The semi-sync straggler cutoff time, or None (wait for all)."""
-        if self.mode != "semisync" or self.target_reports is None:
-            return None
-        target = self.target_reports
-        if knobs is not None and knobs.participation != 1.0:
-            # Shrinking the cohort shrinks the commit quorum with it, so
-            # a low-participation round is not doomed to wait on everyone.
-            target = max(1, round(target * knobs.participation))
-        aggregatable = [a for a in arrivals if not a.record.missed]
-        if len(aggregatable) <= target:
-            return None
-        return aggregatable[target - 1].at
-
-    def _patience(
-        self,
-        started_at: Seconds,
-        arrivals: list[_Arrival],
-        knobs: Optional[ServerKnobs],
-    ) -> Optional[Seconds]:
-        """The controller's straggler-patience cap on the round close.
-
-        ``deadline_scale`` bounds how long past the round's largest
-        training deadline the server keeps waiting: reports later than
-        ``started_at + scale x max(deadline)`` are cut.  The default
-        scale of 1.0 means "no cap" (classic wait-for-all sync), keeping
-        uncontrolled composition byte-identical.
-        """
-        if knobs is None or knobs.deadline_scale == 1.0 or not arrivals:
-            return None
-        budget = max(a.record.deadline for a in arrivals)
-        return started_at + knobs.deadline_scale * budget
-
-    def _round_close(
-        self,
-        round_record: FleetRound,
-        arrivals: list[_Arrival],
-        cutoff_at: Optional[Seconds],
-    ) -> Seconds:
-        """When the server closes the round and commits."""
-        if cutoff_at is not None:
-            if arrivals:
-                # A patience cap later than every arrival never extends
-                # the round (semisync cutoffs are arrival times already).
-                return min(cutoff_at, max(a.at for a in arrivals))
-            return cutoff_at
-        if arrivals:
-            return max(a.at for a in arrivals)
-        # Everyone dropped out (or was exhausted): the round closes once
-        # the last dropout's deadline idle-out completes.
-        drops = [r.arrival for r in round_record.reports]
-        return max(drops) if drops else round_record.started_at
-
-    def _run_async(self, rounds: int) -> FleetResult:
-        """FedBuff-style buffered asynchronous composition."""
-        result = FleetResult(mode="async", n_clients=len(self.clients))
-        version = 0
-        flushed_at: Seconds = 0.0
-        heap: list[tuple[Seconds, int, _Arrival]] = []
-        order = 0
-        for client in self.clients:
-            # Bound every client's streaming trace at ``rounds`` local
-            # rounds so sync and async consume identical work.
-            del client.records[rounds:]
-            arrival = self._launch(client, 0.0, order, version)
-            if arrival is not None:
-                heapq.heappush(heap, (arrival.at, arrival.order, arrival))
-                order += 1
-        buffer: list[FleetReport] = []
-        pending_energy = 0.0
-        pending_dropped: list[str] = []
-        knobs = self._round_knobs(0)
-        while heap:
-            _, _, arrival = heapq.heappop(heap)
-            client = arrival.client
-            round_index = len(result.rounds)
-            if knobs is not None and knobs.halt:
-                # The server stops committing: the in-flight report (and
-                # everything still on the heap) burned energy no window
-                # will ever claim.
-                self._emit_halt(round_index, arrival.at)
-                pending_energy += arrival.record.energy
-                pending_energy += sum(
-                    entry[2].record.energy for entry in heap
-                )
-                heap.clear()
-                break
-            flush = False
-            if arrival.dropped:
-                pending_dropped.append(client.client_id)
-                pending_energy += arrival.record.energy
-            else:
-                staleness = version - arrival.version_started
-                if arrival.record.missed:
-                    status = "straggler"
-                elif (
-                    self.max_staleness is not None
-                    and staleness > self.max_staleness
-                ):
-                    status = "stale"
-                else:
-                    status = "buffered"
-                discount = staleness_weight(staleness, self.staleness_exponent)
-                report = FleetReport(
-                    client_id=client.client_id,
-                    local_round=arrival.local_round,
-                    arrival=arrival.at,
-                    train_elapsed=arrival.record.elapsed,
-                    upload=arrival.upload,
-                    energy=arrival.record.energy,
-                    missed=arrival.record.missed,
-                    staleness=staleness,
-                    weight=(
-                        float(client.n_samples) * discount
-                        if status == "buffered"
-                        else 0.0
-                    ),
-                    status=status,
-                )
-                self._emit_enqueue(report, round_index)
-                buffer.append(report)
-                threshold = self.buffer_size
-                if knobs is not None and knobs.buffer_scale != 1.0:
-                    threshold = max(1, round(threshold * knobs.buffer_scale))
-                flush = (
-                    sum(1 for r in buffer if r.status == "buffered")
-                    >= threshold
-                )
-            if flush:
-                round_record = FleetRound(
-                    round_index=round_index,
-                    started_at=flushed_at,
-                    completed_at=arrival.at,
-                    participants=sorted({r.client_id for r in buffer}),
-                    reports=buffer,
-                    dropped=pending_dropped,
-                )
-                version = self._commit(round_record, version)
-                result.rounds.append(round_record)
-                self._emit_round(round_record)
-                self._feed_controller(round_record, result)
-                # Async knobs advance per commit, not per arrival: the
-                # controller sees one feedback per aggregation window.
-                knobs = self._round_knobs(len(result.rounds))
-                flushed_at = arrival.at
-                buffer = []
-                pending_dropped = []
-            # The client immediately starts its next local round against
-            # the *current* model version.
-            relaunch = self._launch(client, arrival.at, order, version)
-            if relaunch is not None:
-                heapq.heappush(heap, (relaunch.at, relaunch.order, relaunch))
-                order += 1
-        # A trailing partial buffer never reaches the commit threshold;
-        # its reports' energy is still the fleet's to account for.
-        result.unclaimed_energy = pending_energy + sum(r.energy for r in buffer)
-        return result

@@ -1,6 +1,6 @@
 """Structured-array event queues for fleet-scale composition.
 
-The legacy engine walks one Python object per client report; at 100k–1M
+A per-event loop walks one Python object per client report; at 100k–1M
 clients that loop (and the per-launch RNG draw behind it) *is* the cost
 of composition.  This module flattens every client's trace into CSR-style
 numpy columns once, up front:
@@ -13,7 +13,8 @@ numpy columns once, up front:
   upload times as **one vectorized call** on its private RNG stream.
   ``numpy.random.Generator`` draws ``normal(mu, sigma, size=k)`` from the
   same bit stream as ``k`` sequential scalar draws, so the precomputed
-  uploads are bit-identical to the legacy per-launch draws.  ``shards``
+  uploads are bit-identical to per-launch
+  :meth:`~repro.federated.transport.LinkModel.transfer_time` draws.  ``shards``
   splits the fill across contiguous client ranges on a thread pool;
   every range writes a disjoint slice of the same preallocated arrays,
   so serial and sharded builds are byte-identical by construction.
@@ -21,18 +22,20 @@ numpy columns once, up front:
   client's k-th report lands at ``((at[k-1] + elapsed[k]) + upload[k])``;
   the interleaved-cumsum below reproduces that exact left-to-right float
   association, not the (differently rounded) ``cumsum(elapsed + upload)``.
-* :func:`resolve_pop_order` — the drain order of the legacy event heap,
-  recovered from arrival times alone.  The legacy heap keys on
+* :func:`resolve_pop_order` — the drain order of the FedBuff event heap,
+  recovered from arrival times alone.  That heap keys on
   ``(at, push_counter)``: initial launches take counters ``0..n-1`` in
   client order, every relaunch takes the counter current at its parent's
   pop.  Ties in ``at`` therefore resolve initial-before-relaunch, then
   by client index (both initial) or by parent pop position (both
   relaunches) — and a relaunch only becomes poppable after its parent.
+  The Hypothesis suite in ``tests/federated/test_event_queue_properties.py``
+  checks it against a literal ``heapq`` drain.
 
 The vectorized engine (:mod:`repro.federated.vector_engine`) composes on
 these arrays; the differential suite in
 ``tests/federated/test_vectorized_equivalence.py`` holds the result
-byte-identical to the legacy object loop.
+byte-identical to the per-event reference loop kept under ``tests/``.
 """
 
 from __future__ import annotations
@@ -93,9 +96,9 @@ def _fill_uploads(
 ) -> None:
     """Fill ``arrays.upload`` for clients ``lo:hi`` (a disjoint slice).
 
-    Replicates the legacy per-launch pricing bit-for-bit: one lognormal
-    draw per *live* (non-dropped) record in trace order from the client's
-    private stream, plus the first-matching transport-stall window's
+    Replicates per-launch pricing bit-for-bit: one lognormal draw per
+    *live* (non-dropped) record in trace order from the client's private
+    stream, plus the first-matching transport-stall window's
     ``magnitude x deadline`` delay.
     """
     variability = link.variability
@@ -144,9 +147,10 @@ def build_trace_arrays(
 ) -> FleetTraceArrays:
     """Flatten client traces into columns (optionally sharded over threads).
 
-    ``rounds_cap`` bounds every client's composable trace (the async
-    engine's ``del records[rounds:]`` semantics); the full trace length is
-    still recorded per client for the sync progress divisor.  ``shards``
+    ``rounds_cap`` bounds every client's composable trace (async streams
+    at most ``rounds`` local rounds per client) without touching the
+    clients' own record lists; the full trace length is still recorded per
+    client for the sync progress divisor.  ``shards``
     partitions the upload-draw fill over contiguous client ranges on a
     thread pool — a pure write-disjoint parallelization, byte-identical
     to the serial fill for any shard count.
@@ -229,7 +233,7 @@ def async_arrival_times(arrays: FleetTraceArrays) -> np.ndarray:
     Client ``i``'s k-th report arrives at ``((at[k-1] + elapsed) + upload)``
     with ``at[-1] = 0.0``.  Interleaving elapsed/upload and running one
     cumulative sum reproduces that exact association order, so the result
-    is bit-identical to the legacy launch-by-launch accumulation.
+    is bit-identical to launch-by-launch accumulation.
     """
     n_events = arrays.n_events
     at = np.zeros(n_events)
@@ -253,7 +257,7 @@ def _heap_key(
     init_rank: np.ndarray,
     pos: np.ndarray,
 ) -> tuple[int, int]:
-    """The legacy push-counter ordering class of one tied event."""
+    """The push-counter ordering class of one tied event."""
     if flat == int(offsets_starts[client_of[flat]]):
         # Initial launch: counters 0..n-1 in client order, so any initial
         # event outranks any relaunch and initials rank by client index.
@@ -264,14 +268,14 @@ def _heap_key(
 
 
 def resolve_pop_order(at: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Flat event indices in legacy heap drain order.
+    """Flat event indices in FedBuff heap drain order.
 
     ``at`` holds every event's arrival time (client ``i`` owns
     ``offsets[i]:offsets[i+1]``, chained so ``at`` is nondecreasing within
     a client).  With all-distinct times the drain is a stable sort; ties
-    replay the legacy ``(at, push_counter)`` heap semantics exactly —
-    including the constraint that a relaunch is only poppable after its
-    parent popped.
+    replay the ``(at, push_counter)`` heap semantics exactly — including
+    the constraint that a relaunch is only poppable after its parent
+    popped.
     """
     n_events = int(at.shape[0])
     order = np.argsort(at, kind="stable")
@@ -336,32 +340,3 @@ def resolve_pop_order(at: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     result = np.empty(n_events, dtype=np.int64)
     result[pos] = np.arange(n_events)
     return result
-
-
-def reference_pop_order(at: np.ndarray, offsets: np.ndarray) -> list[int]:
-    """The literal heapq simulation of the legacy drain (test oracle).
-
-    Pushes initial events in client order with counters ``0..n-1``, pops
-    the ``(at, counter)`` minimum, and pushes each popped event's
-    successor with the then-current counter — exactly the legacy engine's
-    event loop, minus all the composition.  Quadratic in nothing, linear
-    in events; kept here so the Hypothesis suite and the vectorized
-    resolver share one definition of "legacy order".
-    """
-    heap: list[tuple[float, int, int]] = []
-    counter = 0
-    for i in range(offsets.shape[0] - 1):
-        start, end = int(offsets[i]), int(offsets[i + 1])
-        if start == end:
-            continue
-        heapq.heappush(heap, (float(at[start]), counter, start))
-        counter += 1
-    drained: list[int] = []
-    while heap:
-        _, _, flat = heapq.heappop(heap)
-        drained.append(flat)
-        client = int(np.searchsorted(offsets, flat, side="right")) - 1
-        if flat + 1 < int(offsets[client + 1]):
-            heapq.heappush(heap, (float(at[flat + 1]), counter, flat + 1))
-            counter += 1
-    return drained

@@ -17,11 +17,11 @@ that layer for the fleet engine's progress-probe aggregation path:
   into an edge partial, then FedAvg the partials under the edges' summed
   weights.  Mathematically this is a reweighted two-stage mean — *not*
   bit-equal to the flat mean, which is why hierarchy is a new discipline
-  and not a transparent optimization.  Both engine implementations
-  (legacy object loop and vectorized) call **this one function**, so
-  ``legacy+hierarchy == vectorized+hierarchy`` stays byte-identical.
-* :func:`aggregate_probe` — the scalar FedAvg fast path shared by the
-  vectorized commit: replicates
+  and not a transparent optimization.  The engine's commit and the
+  per-event reference loop under ``tests/`` both call **this one
+  function**, so they stay byte-identical under hierarchy too.
+* :func:`aggregate_probe` — the scalar FedAvg fast path of the engine's
+  commit: replicates
   :meth:`repro.federated.aggregation.FedAvg.aggregate` on plain floats,
   bit-for-bit (same normalization expression, same left-to-right
   accumulation), without allocating one numpy array per client.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Optional
 
 import numpy as np
 
@@ -159,12 +158,3 @@ def combine_hierarchical(
         )
         obs.count("hierarchy.aggregations")
     return combined
-
-
-def edge_assignment(
-    hierarchy: Optional[HierarchySpec], indices: Sequence[int]
-) -> Optional[list[int]]:
-    """Edge ids for ``indices`` under ``hierarchy`` (None when flat)."""
-    if hierarchy is None:
-        return None
-    return [hierarchy.edge_of(index) for index in indices]

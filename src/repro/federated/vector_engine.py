@@ -1,9 +1,12 @@
 """Vectorized fleet composition over structured-array event queues.
 
-The drop-in replacement for the legacy per-event object loop in
-:class:`~repro.federated.async_engine.AsyncFederationEngine` — same
-modes, same knobs, same obs trace, byte-identical results — built on the
-flattened trace columns of :mod:`repro.federated.eventqueue`:
+The composition behind
+:meth:`~repro.federated.async_engine.AsyncFederationEngine.run`, built on
+the flattened trace columns of :mod:`repro.federated.eventqueue`.  Its
+semantics are those of a per-event loop — one launch, one upload draw and
+one heap entry per local round — which is kept as a test oracle
+(``tests/federated/reference_fleet.py``); the differential suite holds
+results and obs traces byte-identical to it:
 
 * **sync / semisync** (:func:`_run_rounds`): one launch is a fancy-index
   gather, one round's arrival sort is a single ``lexsort`` on
@@ -21,19 +24,21 @@ flattened trace columns of :mod:`repro.federated.eventqueue`:
   committed versions at its parent's pop).
 * **async array walk** (:func:`_run_async_walk`): an adaptive controller
   or a ``max_staleness`` bound makes flush positions sequentially
-  dependent, so this path keeps the legacy drain loop — but over the
+  dependent, so this path walks the drain one event at a time — over the
   precomputed columns and a plain ``(at, counter, flat)`` heap, with no
-  per-launch RNG draws and no intermediate arrival objects.  It mirrors
-  the legacy control flow statement for statement (including the halt
-  path's raw-heap-layout energy accounting), which is what keeps it
-  byte-identical.
+  per-launch RNG draws and no intermediate arrival objects.  Its halt
+  path sums in-flight energy in raw heap-list order, which is why it
+  keeps a real heap rather than :func:`resolve_pop_order`.
 
-Float discipline, everywhere: sums that the legacy engine accumulates
+The walk and the fast drain commit through :func:`_commit_arrays` and
+emit through :func:`_emit_enqueue_scalar`, as the round path does.
+
+Float discipline, everywhere: sums the per-event semantics accumulate
 left-to-right stay left-to-right (``sum(column.tolist())``, never
-``np.sum``'s pairwise reduction), arrival times keep the legacy
+``np.sum``'s pairwise reduction), arrival times keep the
 ``(start + elapsed) + upload`` association, and staleness discounts are
-computed once per distinct staleness with the exact scalar ``**`` the
-legacy helper uses.
+computed once per distinct staleness with the exact scalar ``**`` of
+:func:`staleness_weight`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.federated.async_engine import (
     AsyncFederationEngine,
     FleetReport,
@@ -68,11 +72,6 @@ def run_vectorized(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     if engine.mode == "async":
         if engine.controller is None and engine.max_staleness is None:
             return _run_async_fast(engine, rounds)
-        if engine.detail == "stats":
-            raise ConfigurationError(
-                "detail='stats' async composition requires the static fast "
-                "drain (no server controller, no max_staleness)"
-            )
         return _run_async_walk(engine, rounds)
     return _run_rounds(engine, rounds)
 
@@ -92,11 +91,11 @@ def _commit_arrays(
     weights: np.ndarray,
     client_index_values: np.ndarray,
 ) -> int:
-    """The vectorized commit: bit-identical to the legacy ``_commit``.
+    """Fold the buffered progress probes into a new model version.
 
     ``aggregate_probe`` replicates FedAvg's array arithmetic on scalars;
     other aggregators get the genuine array call with identically built
-    inputs.  Emission payloads match the legacy commit field for field.
+    inputs, so the probe is bit-identical to ``aggregator.aggregate``.
     """
     if progresses.shape[0] == 0:
         round_record.model_version = version
@@ -177,8 +176,8 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     ids = arrays.client_ids
     offsets = arrays.offsets
     lengths = arrays.lengths
-    # Sync progress divides by the client's *full* trace length — the
-    # legacy engine never trims records outside async mode.
+    # Sync progress divides by the client's *full* trace length; only
+    # async caps each client's stream at ``rounds``.
     full_div = np.maximum(arrays.full_lengths, 1)
     index_arr = _client_indices(engine)
     n_samples = arrays.n_samples
@@ -211,7 +210,7 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             n_selected = len(chosen)
         has = cursor[sel_idx] < lengths[sel_idx]
         launch_idx = sel_idx[has]
-        launch_pos = np.flatnonzero(has)  # the legacy enumerate order
+        launch_pos = np.flatnonzero(has)  # selection order, for ties
         local = cursor[launch_idx].copy()
         flat = offsets[launch_idx] + local
         cursor[launch_idx] += 1
@@ -355,7 +354,7 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
 def _staleness_discounts(
     staleness: np.ndarray, exponent: float
 ) -> np.ndarray:
-    """Per-event discount via the exact legacy scalar power, one per distinct value."""
+    """Per-event discount via the exact scalar power, one per distinct value."""
     if staleness.shape[0] == 0:
         return np.zeros(0)
     uniq, inverse = np.unique(staleness, return_inverse=True)
@@ -372,10 +371,6 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     arrays = build_trace_arrays(
         engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
     )
-    for client in engine.clients:
-        # Object-level parity with the legacy drain, which trims its own
-        # copy of every trace to ``rounds`` before streaming.
-        del client.records[rounds:]
     n = arrays.n_clients
     result = FleetResult(mode="async", n_clients=n)
     n_events = arrays.n_events
@@ -525,22 +520,24 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
 
 
 def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
-    """The legacy FedBuff drain over precomputed columns (controller-aware).
+    """The FedBuff drain walked event by event (controller-aware).
 
     Flush positions depend on adaptive knobs (buffer rescale, halt) or a
-    staleness bound, so this path walks events sequentially like the
-    legacy loop — same heap keys, same push/pop sequence, hence the same
-    internal heap layout the halt path's energy sweep depends on.
+    staleness bound, so this path pops events one at a time from an
+    ``(at, push counter)`` heap — the per-event semantics' keys and
+    push/pop sequence, hence the same internal heap layout the halt
+    path's energy sweep depends on.
     """
     arrays = build_trace_arrays(
         engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
     )
-    for client in engine.clients:
-        del client.records[rounds:]
     n = arrays.n_clients
     ids = arrays.client_ids
     offsets = arrays.offsets
+    progress_div = np.maximum(arrays.lengths, 1)
+    index_arr = _client_indices(engine)
     at = async_arrival_times(arrays)
+    emitting = obs.enabled()
     result = FleetResult(mode="async", n_clients=n)
     # Heap entries: (arrival, push counter, flat event, version at launch).
     heap: list[tuple[float, int, int, int]] = []
@@ -552,6 +549,8 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
         heapq.heappush(heap, (float(at[start]), counter, start, 0))
         counter += 1
     buffer: list[FleetReport] = []
+    #: Client position of each buffered report, parallel to ``buffer``.
+    buffer_pos: list[int] = []
     pending_energy = 0.0
     pending_dropped: list[str] = []
     version = 0
@@ -587,9 +586,10 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             else:
                 status = "buffered"
             discount = staleness_weight(staleness, engine.staleness_exponent)
+            local_round = int(flat - offsets[client_pos])
             report = FleetReport(
                 client_id=cid,
-                local_round=int(flat - offsets[client_pos]),
+                local_round=local_round,
                 arrival=float(arrival_at),
                 train_elapsed=float(arrays.elapsed[flat]),
                 upload=float(arrays.upload[flat]),
@@ -603,8 +603,12 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
                 ),
                 status=status,
             )
-            engine._emit_enqueue(report, round_index)
+            if emitting:
+                _emit_enqueue_scalar(
+                    report.arrival, round_index, cid, local_round, staleness, status
+                )
             buffer.append(report)
+            buffer_pos.append(client_pos)
             threshold = engine.buffer_size
             if knobs is not None and knobs.buffer_scale != 1.0:
                 threshold = max(1, round(threshold * knobs.buffer_scale))
@@ -620,13 +624,26 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
                 reports=buffer,
                 dropped=pending_dropped,
             )
-            version = engine._commit(round_record, version)
+            kept = [k for k, r in enumerate(buffer) if r.status == "buffered"]
+            local_rounds = np.array(
+                [buffer[k].local_round for k in kept], dtype=np.int64
+            )
+            positions = np.array([buffer_pos[k] for k in kept], dtype=np.int64)
+            version = _commit_arrays(
+                engine,
+                round_record,
+                version,
+                progresses=(local_rounds + 1) / progress_div[positions],
+                weights=np.array([buffer[k].weight for k in kept]),
+                client_index_values=index_arr[positions],
+            )
             result.rounds.append(round_record)
             engine._emit_round(round_record)
             engine._feed_controller(round_record, result)
             knobs = engine._round_knobs(len(result.rounds))
             flushed_at = float(arrival_at)
             buffer = []
+            buffer_pos = []
             pending_dropped = []
         next_flat = flat + 1
         if next_flat < int(offsets[client_pos + 1]):

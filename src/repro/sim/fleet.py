@@ -32,7 +32,6 @@ either subsystem knowing about the other.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import pathlib
 import zlib
@@ -327,9 +326,9 @@ def prepare_fleet(
     executor = CampaignExecutor(workers=workers, cache=cache, progress=progress)
     report = executor.run(specs, use_cache=use_cache)
     for client, result in zip(clients, report.results):
-        # A fresh list per client: duplicate keys share RoundRecord
-        # objects, and the async engine trims its own copy of the list.
-        client.records = list(result.records)
+        # Archetype mates share one campaign result, hence one record
+        # list; composition only ever reads it.
+        client.records = result.records
     return clients
 
 
@@ -337,24 +336,22 @@ def compose_fleet(
     spec: FleetSpec,
     clients: list[FleetClient],
     *,
-    engine: str = "vectorized",
     detail: str = "reports",
     shards: Optional[int] = None,
 ) -> FleetResult:
     """Run the federation engine over prepared traces (pure, serial).
 
-    Clients are cloned first, so the same prepared population can be
-    composed repeatedly — e.g. once per mode for a sync/semisync/async
-    comparison — without one composition consuming another's traces.
+    The engine only reads the clients' traces, so the same prepared
+    population can be composed repeatedly — e.g. once per mode for a
+    sync/semisync/async comparison.
 
-    ``engine``/``detail``/``shards`` tune *how* the composition executes,
-    never *what* it computes: ``engine="legacy"`` selects the retained
-    per-event loop (differential testing), ``detail="stats"`` keeps
-    per-round counters instead of per-report objects (O(rounds) memory at
-    100k+ clients), and ``shards`` parallelizes the trace-column build —
-    all byte-identical to the serial vectorized default.  ``spec.edges``,
-    by contrast, changes the aggregation arithmetic, which is why it
-    lives on the spec.
+    ``detail``/``shards`` tune *how* the composition executes, never
+    *what* it computes: ``detail="stats"`` keeps per-round counters
+    instead of per-report objects (O(rounds) memory at 100k+ clients),
+    and ``shards`` parallelizes the trace-column build — both
+    byte-identical to the serial default.  ``spec.edges``, by contrast,
+    changes the aggregation arithmetic, which is why it lives on the
+    spec.
     """
     target = spec.effective_participants()
     if spec.mode == "semisync":
@@ -384,10 +381,7 @@ def compose_fleet(
         if shards is not None:
             obs.count("fleet.compose_shards", shards)
     fed_engine = AsyncFederationEngine(
-        [
-            dataclasses.replace(client, records=list(client.records))
-            for client in clients
-        ],
+        clients,
         mode=spec.mode,
         link=LinkModel(),
         selector=selector,
@@ -397,7 +391,6 @@ def compose_fleet(
         staleness_exponent=spec.staleness_exponent,
         max_staleness=spec.max_staleness,
         controller=None if tune is None else make_server_controller(tune),
-        engine=engine,
         detail=detail,
         hierarchy=hierarchy,
         shards=shards,
@@ -412,7 +405,6 @@ def run_fleet(
     cache: Optional[PersistentCampaignCache] = None,
     progress: Optional[ProgressCallback] = None,
     use_cache: bool = True,
-    engine: str = "vectorized",
     detail: str = "reports",
     shards: Optional[int] = None,
 ) -> FleetResult:
@@ -420,9 +412,7 @@ def run_fleet(
     clients = prepare_fleet(
         spec, workers=workers, cache=cache, progress=progress, use_cache=use_cache
     )
-    return compose_fleet(
-        spec, clients, engine=engine, detail=detail, shards=shards
-    )
+    return compose_fleet(spec, clients, detail=detail, shards=shards)
 
 
 def fleet_summary(spec: FleetSpec, result: FleetResult) -> dict[str, object]:

@@ -18,6 +18,7 @@ from repro.bayesopt.acquisition import (
 )
 from repro.bayesopt.gp import BatchPosterior, GaussianProcess
 from repro.bayesopt.kernels import Matern52
+from repro.bayesopt.pareto import pareto_mask
 from repro.bayesopt.sampling import sobol_configurations
 from repro.errors import OptimizationError
 from repro.hardware.devices import jetson_agx
@@ -30,6 +31,55 @@ def fitted_gp(rng, n=20, d=3, noise_variance=1e-5):
     x = rng.uniform(size=(n, d))
     y = np.sin(3.0 * x[:, 0]) + 0.5 * x[:, 1]
     return GaussianProcess(noise_variance=noise_variance).fit(x, y)
+
+
+def refit_conditioned(gp, x_new, y_new):
+    """The O(n^3) reference: a fresh GP with the same hyperparameters, fit
+    from scratch on the old data plus ``(x_new, y_new)``."""
+    x_all = np.vstack([gp._x, np.atleast_2d(x_new)])
+    y_all = np.concatenate([gp._y_raw, np.ravel(y_new)])
+    return GaussianProcess(
+        gp.kernel.clone(),
+        noise_variance=gp.noise_variance,
+        normalize_y=gp.normalize_y,
+        jitter=gp.jitter,
+    ).fit(x_all, y_all)
+
+
+def refit_suggest(optimizer, batch_size):
+    """Greedy EHVI with Kriging-believer fantasies, refitting both GPs
+    from scratch after every pick — the loop ``suggest`` must reproduce."""
+    candidates = [
+        c
+        for c in optimizer.space.all_configurations()
+        if c not in set(optimizer.observed_configurations)
+    ]
+    candidate_x = optimizer.space.normalize_many(candidates)
+    reference = optimizer.reference_point()
+    _, observed = optimizer.objectives_matrix()
+    front = observed[pareto_mask(observed)]
+    gp_l, gp_e = optimizer._gp_latency, optimizer._gp_energy
+    active = np.ones(len(candidates), dtype=bool)
+    picks = []
+    for _ in range(min(batch_size, len(candidates))):
+        idx = np.flatnonzero(active)
+        mean_l, var_l = gp_l.predict(candidate_x[idx])
+        mean_e, var_e = gp_e.predict(candidate_x[idx])
+        mean = np.stack([mean_l, mean_e], axis=1)
+        var = np.stack([var_l, var_e], axis=1)
+        ehvi = expected_hypervolume_improvement(mean, var, front, reference)
+        local = int(np.argmax(ehvi))
+        if ehvi[local] <= 0.0:
+            picks.extend(candidates[int(i)] for i in idx[: batch_size - len(picks)])
+            break
+        best = int(idx[local])
+        picks.append(candidates[best])
+        active[best] = False
+        x_new = candidate_x[best : best + 1]
+        gp_l = refit_conditioned(gp_l, x_new, mean_l[local : local + 1])
+        gp_e = refit_conditioned(gp_e, x_new, mean_e[local : local + 1])
+        front = np.vstack([front, mean[local]])
+    return picks
 
 
 def fitted_optimizer(n_obs=40, **kwargs):
@@ -55,8 +105,8 @@ class TestRank1Conditioning:
         gp = fitted_gp(rng, n=n)
         x_new = rng.uniform(size=(1, 3))
         y_new = rng.normal(size=1)
-        fast = gp.conditioned_on(x_new, y_new, fast=True)
-        slow = gp.conditioned_on(x_new, y_new, fast=False)
+        fast = gp.conditioned_on(x_new, y_new)
+        slow = refit_conditioned(gp, x_new, y_new)
         x_star = rng.uniform(size=(16, 3))
         mean_fast, var_fast = fast.predict(x_star)
         mean_slow, var_slow = slow.predict(x_star)
@@ -68,8 +118,8 @@ class TestRank1Conditioning:
         for _ in range(5):
             x_new = rng.uniform(size=(1, 3))
             y_new = rng.normal(size=1)
-            gp_fast = gp_fast.conditioned_on(x_new, y_new, fast=True)
-            gp_slow = gp_slow.conditioned_on(x_new, y_new, fast=False)
+            gp_fast = gp_fast.conditioned_on(x_new, y_new)
+            gp_slow = refit_conditioned(gp_slow, x_new, y_new)
         x_star = rng.uniform(size=(32, 3))
         mean_fast, var_fast = gp_fast.predict(x_star)
         mean_slow, var_slow = gp_slow.predict(x_star)
@@ -86,7 +136,7 @@ class TestRank1Conditioning:
         with_column = gp.conditioned_on(
             x_new, y_new, l21=posterior.cross_column(pick)
         )
-        without = gp.conditioned_on(x_new, y_new, fast=True)
+        without = gp.conditioned_on(x_new, y_new)
         x_star = rng.uniform(size=(16, 3))
         # The cached column comes from a batched triangular solve; BLAS
         # blocking may differ from the single-column solve by a few ulp.
@@ -127,7 +177,7 @@ class TestBatchPosterior:
         gp = fitted_gp(rng)
         candidates = rng.uniform(size=(10, 3))
         posterior = BatchPosterior(gp, candidates, capacity=0)
-        gp2 = gp.conditioned_on(candidates[:1], np.array([0.2]), fast=True)
+        gp2 = gp.conditioned_on(candidates[:1], np.array([0.2]))
         extended = posterior.extended(gp2)
         mean_ref, var_ref = gp2.predict(candidates)
         mean, var = extended.predict()
@@ -274,9 +324,11 @@ class TestJitterEscalation:
 
 class TestSuggestFastPath:
     def test_fast_and_legacy_pick_identically(self):
+        """The rank-1/cached-posterior suggest picks exactly what the
+        O(n^3)-per-pick refit loop picks."""
         fast = fitted_optimizer()
-        legacy = fitted_optimizer(fast_path=False, warm_start=False)
-        assert fast.suggest(8) == legacy.suggest(8)
+        reference = fitted_optimizer()
+        assert fast.suggest(8) == refit_suggest(reference, 8)
 
     def test_repeated_suggest_reuses_cache(self):
         optimizer = fitted_optimizer()

@@ -14,6 +14,8 @@ from repro.federated.async_engine import (
 )
 from repro.federated.selection import RandomSelector
 from repro.federated.transport import LinkModel
+from repro.servertune.controllers import ServerTuneSpec, make_server_controller
+from tests.federated.reference_fleet import reference_run
 
 #: A deterministic link: transfer time is purely size / bandwidth.
 FIXED_LINK = dict(bandwidth_mbps=10.0, variability=0.0, latency=0.0)
@@ -330,6 +332,45 @@ class TestAsyncMode:
             ).run(3)
 
         assert compose().to_dict() == compose().to_dict()
+
+
+class TestInputsUntouched:
+    """Composition reads the clients' traces and never modifies them, and
+    still streams at most ``rounds`` local rounds per async client."""
+
+    CASES = {
+        "sync": lambda: dict(mode="sync"),
+        "semisync": lambda: dict(
+            mode="semisync", selector=RandomSelector(4, seed=0), target_reports=3
+        ),
+        "async-static": lambda: dict(mode="async", buffer_size=3),
+        "async-tuned": lambda: dict(
+            mode="async",
+            buffer_size=3,
+            controller=make_server_controller(ServerTuneSpec("fedgpo")),
+        ),
+        "async-max-staleness": lambda: dict(
+            mode="async", buffer_size=2, max_staleness=0
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_traces_longer_than_rounds_keep_length_and_items(self, case):
+        clients = make_fleet(5, spread=1.5, rounds=6)
+        before = [(c.records, list(c.records)) for c in clients]
+
+        def engine():
+            return AsyncFederationEngine(
+                clients, link=LinkModel(), **self.CASES[case]()
+            )
+
+        result = engine().run(3)
+        assert result.rounds
+        for client, (records, items) in zip(clients, before):
+            assert client.records is records
+            assert len(client.records) == 6
+            assert all(a is b for a, b in zip(client.records, items))
+        assert result.to_dict() == reference_run(engine(), 3).to_dict()
 
 
 class TestFleetRoundAccessors:

@@ -3,12 +3,13 @@
 The vectorized engine's async drain rests on one claim:
 :func:`repro.federated.eventqueue.resolve_pop_order` — a batch argsort
 plus tie-run resolution — always reproduces the exact pop sequence of
-the legacy per-event heap, including every tie-break (initial launches
-beat relaunches, initials order by client rank, relaunches by their
-parent's pop position, and a child is never poppable before its parent).
-Rather than trust the derivation, this suite drives both against each
-other on adversarially tie-heavy random event batches, with
-:func:`reference_pop_order` as the literal heapq oracle.
+the per-event ``(at, push_counter)`` heap, including every tie-break
+(initial launches beat relaunches, initials order by client rank,
+relaunches by their parent's pop position, and a child is never
+poppable before its parent).  Rather than trust the derivation, this
+suite drives both against each other on adversarially tie-heavy random
+event batches, with :func:`reference_pop_order` as the literal heapq
+oracle.
 """
 
 import heapq
@@ -20,12 +21,36 @@ from hypothesis import strategies as st
 
 from repro.federated.aggregation import FedAvg
 from repro.federated.async_engine import staleness_weight
-from repro.federated.eventqueue import (
-    async_arrival_times,
-    reference_pop_order,
-    resolve_pop_order,
-)
+from repro.federated.eventqueue import async_arrival_times, resolve_pop_order
 from repro.federated.hierarchy import aggregate_probe
+
+
+def reference_pop_order(at, offsets):
+    """The literal heapq simulation of the per-event drain (test oracle).
+
+    Pushes initial events in client order with counters ``0..n-1``, pops
+    the ``(at, counter)`` minimum, and pushes each popped event's
+    successor with the then-current counter — the reference fleet loop's
+    event heap, minus all the composition.
+    """
+    heap = []
+    counter = 0
+    for i in range(offsets.shape[0] - 1):
+        start, end = int(offsets[i]), int(offsets[i + 1])
+        if start == end:
+            continue
+        heapq.heappush(heap, (float(at[start]), counter, start))
+        counter += 1
+    drained = []
+    while heap:
+        _, _, flat = heapq.heappop(heap)
+        drained.append(flat)
+        client = int(np.searchsorted(offsets, flat, side="right")) - 1
+        if flat + 1 < int(offsets[client + 1]):
+            heapq.heappush(heap, (float(at[flat + 1]), counter, flat + 1))
+            counter += 1
+    return drained
+
 
 # -- strategies --------------------------------------------------------------
 
@@ -201,7 +226,7 @@ class TestAggregateProbeInvariants:
     @given(pairs)
     def test_scalar_fast_path_matches_array_aggregator(self, pairs):
         """The FedAvg scalar replication is bit-identical to the real
-        array path the legacy commit uses."""
+        array path the reference loop's commit uses."""
         progresses = [p for p, _ in pairs]
         weights = [w for _, w in pairs]
         probe = aggregate_probe(FedAvg(), progresses, weights)

@@ -10,7 +10,6 @@ from repro.federated.hierarchy import (
     HierarchySpec,
     aggregate_probe,
     combine_hierarchical,
-    edge_assignment,
 )
 from repro.obs import runtime as obs
 
@@ -158,12 +157,3 @@ class TestCombineHierarchical:
             **self.kwargs(),
         )
         assert 0.2 <= combined <= 0.8
-
-
-class TestEdgeAssignment:
-    def test_none_hierarchy_is_flat(self):
-        assert edge_assignment(None, [0, 1, 2]) is None
-
-    def test_maps_indices_through_edge_of(self):
-        spec = HierarchySpec(n_edges=3)
-        assert edge_assignment(spec, [0, 4, 7, 9]) == [0, 1, 1, 0]

@@ -1,20 +1,22 @@
-"""Differential tests: vectorized engine == legacy per-event loop, byte for byte.
+"""Differential tests: the engine == the per-event reference loop, byte for byte.
 
-The contract that let the vectorized engine become the default: for every
-mode, selector, knob, chaos overlay and hierarchy topology, composing the
-same prepared traces through ``engine="vectorized"`` and
-``engine="legacy"`` must produce byte-identical result dictionaries,
-fleet summaries, *and* deterministic observability traces.  Anything the
-legacy loop can express, the vectorized path must reproduce exactly —
-which is why the legacy loop is retained at all.
+The contract that lets the vectorized engine be the only composition
+path: for every mode, selector, knob, chaos overlay and hierarchy
+topology, composing the same prepared traces through
+:meth:`AsyncFederationEngine.run` and through the per-event oracle in
+``tests/federated/reference_fleet.py`` must produce byte-identical
+result dictionaries, fleet summaries, *and* deterministic observability
+traces.
 """
 
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.federated.aggregation import FedAvg
 from repro.federated.async_engine import AsyncFederationEngine
@@ -28,6 +30,10 @@ from repro.servertune.controllers import (
     normalize_servertune,
 )
 from repro.sim.fleet import FleetSpec, compose_fleet, fleet_summary, prepare_fleet
+from tests.federated.reference_fleet import (
+    reference_compose_fleet,
+    reference_run,
+)
 
 #: Small but heterogeneous: 2 devices x 3 tasks x 2 controllers across 6
 #: archetypes, enough clients for selection/cutoff/staleness structure.
@@ -54,8 +60,9 @@ def trace_cache():
     return prepare
 
 
-def compose_with(spec, clients, engine_kind, **kwargs):
-    """One composition under a deterministic obs session; returns
+def compose_with(spec, clients, *, reference=False, **kwargs):
+    """One composition under a deterministic obs session, through the
+    engine or (``reference=True``) the per-event oracle; returns
     (result, summary json, result-dict json, trace lines)."""
     target = spec.effective_participants()
     if spec.mode == "semisync":
@@ -72,7 +79,7 @@ def compose_with(spec, clients, engine_kind, **kwargs):
     elif spec.selector == "energy" and sized:
         selector = EnergyAwareSelector(selection_size, seed=spec.seed)
     engine = AsyncFederationEngine(
-        [dataclasses.replace(c, records=list(c.records)) for c in clients],
+        clients,
         mode=spec.mode,
         link=LinkModel(),
         selector=selector,
@@ -82,11 +89,11 @@ def compose_with(spec, clients, engine_kind, **kwargs):
         staleness_exponent=spec.staleness_exponent,
         max_staleness=spec.max_staleness,
         controller=None if tune is None else make_server_controller(tune),
-        engine=engine_kind,
         **kwargs,
     )
+    run = reference_run if reference else AsyncFederationEngine.run
     with obs.session(deterministic=True) as session:
-        result = engine.run(spec.rounds)
+        result = run(engine, spec.rounds)
         trace = [
             json.dumps(e.to_dict(), sort_keys=True) for e in session.log
         ]
@@ -99,11 +106,11 @@ def compose_with(spec, clients, engine_kind, **kwargs):
 
 
 def assert_identical(spec, clients, **kwargs):
-    _, s_leg, d_leg, t_leg = compose_with(spec, clients, "legacy", **kwargs)
-    _, s_vec, d_vec, t_vec = compose_with(spec, clients, "vectorized", **kwargs)
-    assert s_leg == s_vec
-    assert d_leg == d_vec
-    assert t_leg == t_vec
+    _, s_ref, d_ref, t_ref = compose_with(spec, clients, reference=True, **kwargs)
+    _, s_vec, d_vec, t_vec = compose_with(spec, clients, **kwargs)
+    assert s_ref == s_vec
+    assert d_ref == d_vec
+    assert t_ref == t_vec
 
 
 SCENARIOS = {
@@ -191,14 +198,14 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("name", sorted(TUNED))
     def test_tuned_scenarios(self, name, trace_cache):
         """Adaptive knobs (participation, patience, buffer rescale, halt)
-        drive the legacy control paths the vector engine must mirror."""
+        drive the control paths the vector engine must mirror."""
         spec = FleetSpec(**TUNED[name])
         assert_identical(spec, trace_cache(spec))
 
     @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
     def test_hierarchy_scenarios(self, mode, trace_cache):
-        """legacy+hierarchy == vectorized+hierarchy (both call
-        combine_hierarchical; the engines must feed it identically)."""
+        """reference+hierarchy == engine+hierarchy (both call
+        combine_hierarchical; each must feed it identically)."""
         spec = FleetSpec(**dict(BASE, mode=mode, seed=13))
         assert_identical(
             spec, trace_cache(spec), hierarchy=HierarchySpec(n_edges=4)
@@ -212,18 +219,18 @@ class TestComposeFleetEquivalence:
     def test_compose_fleet_engines_agree(self, mode, trace_cache):
         spec = FleetSpec(**dict(BASE, mode=mode, seed=21))
         clients = trace_cache(spec)
-        legacy = compose_fleet(spec, clients, engine="legacy")
+        reference = reference_compose_fleet(spec, clients)
         vectorized = compose_fleet(spec, clients)
-        assert json.dumps(legacy.to_dict(), sort_keys=True) == json.dumps(
+        assert json.dumps(reference.to_dict(), sort_keys=True) == json.dumps(
             vectorized.to_dict(), sort_keys=True
         )
 
     def test_hierarchical_spec_through_compose_fleet(self, trace_cache):
         spec = FleetSpec(**dict(BASE, mode="async", seed=21, edges=3))
         clients = trace_cache(spec)
-        legacy = compose_fleet(spec, clients, engine="legacy")
+        reference = reference_compose_fleet(spec, clients)
         vectorized = compose_fleet(spec, clients)
-        assert legacy.to_dict() == vectorized.to_dict()
+        assert reference.to_dict() == vectorized.to_dict()
         summary = fleet_summary(spec, vectorized)
         assert summary["edges"] == 3
 
@@ -246,20 +253,38 @@ class TestStatsDetail:
     def test_stats_summary_matches_reports(self, mode, trace_cache):
         spec = FleetSpec(**dict(BASE, mode=mode, seed=17))
         clients = trace_cache(spec)
-        _, s_rep, _, t_rep = compose_with(spec, clients, "vectorized")
-        result, s_st, _, t_st = compose_with(
-            spec, clients, "vectorized", detail="stats"
-        )
+        _, s_rep, _, t_rep = compose_with(spec, clients)
+        result, s_st, _, t_st = compose_with(spec, clients, detail="stats")
         assert s_rep == s_st
         assert t_rep == t_st  # emission is independent of materialization
         assert all(not r.reports for r in result.rounds)
         assert all(r.stats is not None for r in result.rounds)
 
-    def test_stats_requires_vectorized_engine(self):
-        spec = FleetSpec(**dict(BASE, mode="sync", seed=17))
-        clients = prepare_fleet(spec)
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            compose_fleet(spec, clients, engine="legacy", detail="stats")
+    @pytest.mark.parametrize("bound", ["max-staleness", "controller"])
+    def test_stats_async_walk_is_rejected_at_construction(self, bound, trace_cache):
+        """Stats mode has no per-event walk: refuse before any work runs."""
+        spec = FleetSpec(**dict(BASE, mode="async", seed=17))
+        if bound == "max-staleness":
+            knobs = dict(max_staleness=1)
+        else:
+            knobs = dict(controller=make_server_controller(ServerTuneSpec("fedgpo")))
+        with pytest.raises(ConfigurationError, match="static fast drain"):
+            AsyncFederationEngine(
+                trace_cache(spec), mode="async", detail="stats", **knobs
+            )
+
+    @pytest.mark.parametrize("mode", ["sync", "semisync"])
+    def test_stats_accepts_controlled_rounds(self, mode, trace_cache):
+        spec = FleetSpec(**dict(BASE, mode=mode, seed=17))
+        tune = ServerTuneSpec("fedgpo")
+        engine = AsyncFederationEngine(
+            trace_cache(spec),
+            mode=mode,
+            selector=RandomSelector(12, seed=17),
+            controller=make_server_controller(tune),
+            detail="stats",
+        )
+        assert all(r.stats is not None for r in engine.run(spec.rounds).rounds)
 
     def test_stats_round_trip_through_to_dict(self, trace_cache):
         spec = FleetSpec(**dict(BASE, mode="async", seed=17))
@@ -285,3 +310,23 @@ class TestShardedCompose:
             assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
                 sharded.to_dict(), sort_keys=True
             )
+
+
+class TestFleetSmokeSpec:
+    """CI's fleet-smoke spec, end to end through ``repro fleet run``."""
+
+    SMOKE = [
+        "fleet", "run", "--clients", "60", "--rounds", "3", "--mode", "async",
+        "--buffer", "12", "--archetypes", "6", "--chaos", "0.1", "--seed", "0",
+        "--workers", "1",
+    ]
+
+    def test_cli_trace_matches_the_reference_loop(self, tmp_path, capsys):
+        engine_trace = tmp_path / "fleet_engine.jsonl"
+        reference_trace = tmp_path / "fleet_reference.jsonl"
+        assert main([*self.SMOKE, "--trace", str(engine_trace)]) == 0
+        with mock.patch.object(AsyncFederationEngine, "run", reference_run):
+            assert main([*self.SMOKE, "--trace", str(reference_trace)]) == 0
+        capsys.readouterr()
+        assert engine_trace.read_bytes() == reference_trace.read_bytes()
+        assert b"fleet.aggregate" in engine_trace.read_bytes()

@@ -2,8 +2,9 @@
 
 These are the acceptance numbers for the vectorized engine — a 100k-client
 async campaign must compose in well under two minutes inside 4 GiB — plus
-a 1k-client byte-identity check against the legacy loop, one scale beyond
-the differential matrix in ``tests/federated/test_vectorized_equivalence``.
+a 1k-client byte-identity check against the per-event reference loop in
+``tests/federated/reference_fleet.py``, one scale beyond the differential
+matrix in ``tests/federated/test_vectorized_equivalence``.
 Everything here is marked ``slow`` and excluded from tier-1 (``-m 'not
 slow'`` in ``pyproject.toml``); CI's fleet-scale job and local deep runs
 opt back in with ``-m slow``.
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.sim.fleet import FleetSpec, compose_fleet, fleet_summary, prepare_fleet
+from tests.federated.reference_fleet import reference_compose_fleet
 
 pytestmark = pytest.mark.slow
 
@@ -75,7 +77,7 @@ class TestScaleSmoke:
 
 class TestScaleIdentity:
     def test_1k_differential_byte_identity(self):
-        """legacy == vectorized on the full result dict at 1k clients —
+        """reference == engine on the full result dict at 1k clients —
         the differential matrix's contract, one order of magnitude up."""
         spec = FleetSpec(
             n_clients=1_000,
@@ -88,9 +90,9 @@ class TestScaleIdentity:
         )
         clients = prepare_fleet(spec)
         vectorized = compose_fleet(spec, clients)
-        legacy = compose_fleet(spec, clients, engine="legacy")
+        reference = reference_compose_fleet(spec, clients)
         assert json.dumps(vectorized.to_dict(), sort_keys=True) == json.dumps(
-            legacy.to_dict(), sort_keys=True
+            reference.to_dict(), sort_keys=True
         )
 
     def test_1k_hierarchical_differential(self):
@@ -99,5 +101,5 @@ class TestScaleIdentity:
         )
         clients = prepare_fleet(spec)
         vectorized = compose_fleet(spec, clients)
-        legacy = compose_fleet(spec, clients, engine="legacy")
-        assert vectorized.to_dict() == legacy.to_dict()
+        reference = reference_compose_fleet(spec, clients)
+        assert vectorized.to_dict() == reference.to_dict()

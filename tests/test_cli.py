@@ -197,6 +197,21 @@ class TestFleetCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_impossible_stats_run_fails_before_prepare(self, monkeypatch, capsys):
+        """Stats-mode async with a staleness bound cannot compose, so the
+        CLI must refuse before gathering (possibly 100k clients') traces."""
+        prepared = []
+        monkeypatch.setattr(
+            "repro.cli.prepare_fleet", lambda spec, **kw: prepared.append(spec)
+        )
+        code = main(
+            ["fleet", "run", *self.FAST, "--mode", "async",
+             "--max-staleness", "1", "--detail", "stats"]
+        )
+        assert code == 1
+        assert "static fast drain" in capsys.readouterr().err
+        assert prepared == []
+
     def test_report_on_fleetless_trace_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "perf.jsonl"
         assert main(
