@@ -3,8 +3,11 @@
 These are the operations whose cost the paper's Fig. 13 measures on real
 boards: GP refits, batched EHVI suggestion, and the exploitation-phase
 ILP.  The paper reports <20 ms per ILP solve on Gurobi; our from-scratch
-branch-and-bound must stay in that class.
+exact solver must stay in that class on every deadline, not on average.
 """
+
+import math
+import time
 
 import numpy as np
 import pytest
@@ -108,17 +111,41 @@ def test_mbo_campaign_to_60_observations(benchmark, agx_observations):
     )
 
 
+def _agx_vit_problem(model, ratio):
+    """Eqn. 1 over the AGX/ViT Pareto front (K=74), 200 jobs, deadline ``ratio`` x fastest."""
+    latencies, energies = model.profile_space()
+    mask = pareto_mask(np.stack([latencies, energies], axis=1))
+    deadline = float(latencies.min() * 200 * ratio)
+    return ScheduleProblem(latencies[mask], energies[mask], jobs=200, deadline=deadline)
+
+
 def test_exploitation_ilp_under_20ms(benchmark, agx_observations):
     """The paper's Gurobi solves Eqn. 1 'within 20ms'; so must we."""
     _, model, _, _, _ = agx_observations
-    latencies, energies = model.profile_space()
-    mask = pareto_mask(np.stack([latencies, energies], axis=1))
-    problem = ScheduleProblem(
-        latencies[mask], energies[mask], jobs=200, deadline=float(latencies.min() * 200 * 1.5)
-    )
-    counts = benchmark(solve_schedule, problem)
+    counts = benchmark(solve_schedule, _agx_vit_problem(model, 1.5))
     assert counts.sum() == 200
     assert benchmark.stats["mean"] < 0.020  # the paper's 20 ms bar
+
+
+def test_exploitation_ilp_worst_deadline_under_20ms(agx_observations):
+    """The 20 ms bar holds for the slowest of 100 deadlines, not just one.
+
+    Deadlines sweep 1.01x to 3x the all-fastest time on the same front.
+    Each deadline's solve time is the best of three, so a scheduler stall
+    on a shared host does not read as a slow solve.
+    """
+    _, model, _, _, _ = agx_observations
+    worst = 0.0
+    for ratio in np.linspace(1.01, 3.0, 100):
+        problem = _agx_vit_problem(model, ratio)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            counts = solve_schedule(problem)
+            best = min(best, time.perf_counter() - start)
+        assert counts.sum() == 200
+        worst = max(worst, best)
+    assert worst < 0.020  # the paper's 20 ms bar
 
 
 def test_full_space_profiling(benchmark, agx_observations):

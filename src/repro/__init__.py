@@ -9,8 +9,8 @@ The package is organized bottom-up:
   ResNet50, LSTM) plus extensions;
 * :mod:`repro.bayesopt` — from-scratch multi-objective Bayesian
   optimization (Matérn-5/2 GPs, exact 2-D EHVI, Kriging-believer batches);
-* :mod:`repro.ilp` — from-scratch simplex + branch-and-bound and the
-  Eqn. 1 schedule solver;
+* :mod:`repro.ilp` — the exact Eqn. 1 schedule solver (a branch-and-bound
+  specialized to the program's two rows);
 * :mod:`repro.ml` / :mod:`repro.federated` — a numpy training stack and
   the FL server/client workflow;
 * :mod:`repro.core` — the BoFL three-phase controller itself;

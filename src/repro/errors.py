@@ -41,14 +41,6 @@ class InfeasibleError(OptimizationError):
     """
 
 
-class UnboundedError(OptimizationError):
-    """A linear program is unbounded below (objective can decrease forever)."""
-
-
-class SolverError(OptimizationError):
-    """A solver hit an internal numerical failure or iteration limit."""
-
-
 class DeadlineMissError(ReproError):
     """A training round finished after its deadline.
 

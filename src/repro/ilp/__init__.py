@@ -1,21 +1,15 @@
-"""Exact linear and integer optimization, implemented from scratch.
+"""The exploitation-phase integer program (Eqn. 1), solved exactly.
 
 The paper solves the exploitation-phase energy minimization (Eqn. 1,
 restricted to the observed Pareto set) as an Integer Linear Program with
 Gurobi's branch-and-bound (§5.2, "Optimization solver").  Gurobi is
-proprietary, so this subpackage provides the same capability natively:
-
-* :mod:`repro.ilp.simplex` — a dense two-phase primal simplex solver;
-* :mod:`repro.ilp.branch_and_bound` — LP-relaxation branch-and-bound for
-  mixed-integer programs;
-* :mod:`repro.ilp.schedule` — the specialized job-schedule problem BoFL
-  actually solves each round, with a fast pair-mixing warm start that the
-  branch-and-bound uses as its incumbent.
+proprietary, and Eqn. 1 has only two rows (the deadline and the job
+count), so :mod:`repro.ilp.schedule` solves that special case natively:
+an exact branch-and-bound on the LP relaxation's reduced costs, warm-started
+by a closed-form pair-mixing plan.  Each solve reports whether it proved
+optimality (``ilp.solve`` event, ``status``) within a fixed node budget.
 """
 
-from repro.ilp.model import IntegerProgram, LinearProgram, Solution, SolutionStatus
-from repro.ilp.simplex import solve_lp
-from repro.ilp.branch_and_bound import solve_milp
 from repro.ilp.schedule import (
     ScheduleProblem,
     solve_schedule,
@@ -24,13 +18,7 @@ from repro.ilp.schedule import (
 )
 
 __all__ = [
-    "IntegerProgram",
-    "LinearProgram",
     "ScheduleProblem",
-    "Solution",
-    "SolutionStatus",
-    "solve_lp",
-    "solve_milp",
     "solve_schedule",
     "solve_schedule_greedy",
     "solve_schedule_pairs",

@@ -39,8 +39,6 @@ COUNTER_NAMES = frozenset(
         "hierarchy.edge_aggregations",
         "guardian.checks",
         "guardian.rejections",
-        "ilp.lp_warm_attempts",
-        "ilp.lp_warm_hits",
         "ilp.nodes_expanded",
         "ilp.solves",
         "mbo.ehvi_evaluations",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,11 +59,14 @@ class DecisionRequest:
             raise ConfigurationError("request device must be non-empty")
         if not self.task:
             raise ConfigurationError("request task must be non-empty")
-        if self.jobs < 1:
-            raise ConfigurationError(f"request jobs must be >= 1, got {self.jobs}")
-        if self.deadline <= 0:
+        if not float(self.jobs).is_integer() or self.jobs < 1:
             raise ConfigurationError(
-                f"request deadline must be positive, got {self.deadline}"
+                f"request jobs must be a whole number >= 1, got {self.jobs}"
+            )
+        object.__setattr__(self, "jobs", int(self.jobs))
+        if not (math.isfinite(self.deadline) and self.deadline > 0):
+            raise ConfigurationError(
+                f"request deadline must be positive and finite, got {self.deadline}"
             )
         if not 0.0 <= self.safety_margin < 1.0:
             raise ConfigurationError(
@@ -104,7 +108,7 @@ class DecisionRequest:
             return cls(
                 device=str(raw["device"]),
                 task=str(raw["task"]),
-                jobs=int(raw["jobs"]),  # type: ignore[call-overload]
+                jobs=float(raw["jobs"]),  # type: ignore[arg-type]
                 deadline=float(raw["deadline"]),  # type: ignore[arg-type]
                 safety_margin=float(raw.get("safety_margin", 0.02)),  # type: ignore[arg-type]
                 client_id=str(raw.get("client_id", "")),

@@ -220,6 +220,12 @@ class TestExploitationPlanner:
         with pytest.raises(InfeasibleError):
             ExploitationPlanner().plan(ObservationStore(), 5, 10.0)
 
+    @pytest.mark.parametrize("margin", [-0.1, 1.0, 1.5, float("nan")])
+    def test_out_of_range_margin_is_a_configuration_error(self, margin):
+        with pytest.raises(ConfigurationError) as raised:
+            ExploitationPlanner(safety_margin=margin)
+        assert not isinstance(raised.value, InfeasibleError)
+
     def test_safety_margin_tightens(self):
         relaxed = ExploitationPlanner(safety_margin=0.0).plan(
             self._store(), jobs=10, time_remaining=3.5

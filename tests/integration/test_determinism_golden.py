@@ -29,8 +29,8 @@ class TestGoldenValues:
         result = run_campaign(
             "agx", "resnet50", "oracle", 2.0, rounds=3, seed=0, use_cache=False
         )
-        assert result.training_energy == pytest.approx(2459.890920524399, rel=TOL)
-        assert result.records[2].energy == pytest.approx(831.8616284074019, rel=TOL)
+        assert result.training_energy == pytest.approx(2459.8870999881697, rel=TOL)
+        assert result.records[2].energy == pytest.approx(831.7923411184238, rel=TOL)
 
     def test_performance_surface_point(self):
         model = lstm().performance_model(jetson_agx())

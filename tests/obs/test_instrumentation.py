@@ -113,10 +113,8 @@ class TestILPEvents:
         assert solves
         assert session.metrics.counter("ilp.solves") == len(solves)
         for event in solves:
-            assert event.payload["status"] in (
-                "optimal", "infeasible", "unbounded", "iteration_limit"
-            )
-            assert event.payload["nodes"] >= 0
+            assert event.payload["status"] in ("optimal", "iteration_limit")
+            assert event.payload["nodes"] >= 1
         assert session.metrics.histograms["ilp.solve_seconds"].count == len(solves)
 
 

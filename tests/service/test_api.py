@@ -73,6 +73,29 @@ class TestDecisionRequest:
                 {"device": "agx", "task": "vit", "jobs": "many", "deadline": 60.0}
             )
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), "nan", "-inf"])
+    def test_from_dict_rejects_non_finite_deadlines(self, deadline):
+        raw = {"device": "agx", "task": "vit", "jobs": 10, "deadline": deadline}
+        with pytest.raises(ConfigurationError, match="finite"):
+            DecisionRequest.from_dict(raw)
+
+    def test_from_dict_rejects_fractional_jobs(self):
+        raw = {"device": "agx", "task": "vit", "jobs": 10.9, "deadline": 60.0}
+        with pytest.raises(ConfigurationError, match="whole number"):
+            DecisionRequest.from_dict(raw)
+
+    def test_integral_float_jobs_normalize_to_int(self):
+        raw = {"device": "agx", "task": "vit", "jobs": 10.0, "deadline": 60.0}
+        request = DecisionRequest.from_dict(raw)
+        assert request.jobs == 10 and isinstance(request.jobs, int)
+        assert request == _request(jobs=10)
+
+    def test_direct_construction_rejects_the_same_values(self):
+        with pytest.raises(ConfigurationError):
+            _request(deadline=float("nan"))
+        with pytest.raises(ConfigurationError):
+            _request(jobs=10.9)
+
 
 class TestDecisionPlan:
     def test_from_schedule_drops_zero_job_entries(self):

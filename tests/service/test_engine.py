@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.api import DecisionRequest
-from repro.service.archetypes import ArchetypeProfile
+from repro.service.archetypes import ArchetypeProfile, get_profile, plan_or_fallback
 from repro.service.engine import PaceDecisionService, ServiceConfig, ServiceCostModel
 from repro.types import DvfsConfiguration
 
@@ -80,6 +80,12 @@ class TestEvaluationPath:
         assert decision.plan.total_jobs == 10
         assert decision.plan.steps[0].frequencies == FAST.as_tuple()
         assert service.fallbacks == 1
+
+    def test_bad_margin_is_not_masked_as_an_infeasible_deadline(self):
+        # A 1000 s deadline is easy; only the margin is wrong, so the
+        # planner must say so instead of degrading to the x_max sprint.
+        with pytest.raises(ConfigurationError, match="safety_margin"):
+            plan_or_fallback(get_profile("agx", "vit"), 100, 1000.0, safety_margin=1.5)
 
 
 class TestCoalescing:

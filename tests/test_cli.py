@@ -302,6 +302,17 @@ class TestServiceCommands:
         assert main(["serve", str(stream)]) == 1
         assert "request line 1" in capsys.readouterr().err
 
+    def test_serve_names_the_line_with_a_non_finite_deadline(self, tmp_path, capsys):
+        stream = tmp_path / "nan.jsonl"
+        stream.write_text(
+            '{"device": "agx", "task": "vit", "jobs": 50, "deadline": 60.0}\n'
+            '{"device": "agx", "task": "vit", "jobs": 50, "deadline": NaN}\n'
+        )
+        assert main(["serve", str(stream)]) == 1
+        err = capsys.readouterr().err
+        assert "request line 2" in err
+        assert "deadline must be positive and finite" in err
+
 
 class TestServertuneCommand:
     #: Two archetypes, two members, one generation: three fast evaluations.

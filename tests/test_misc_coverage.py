@@ -8,11 +8,11 @@ from repro.core.base import PaceController
 from repro.errors import ConfigurationError
 from repro.hardware import SimulatedDevice, ThermalModel
 from repro.hardware.noise import NoiselessMeasurement
-from repro.ilp.model import IntegerProgram, LinearProgram
 from repro.sim import make_controller
 from repro.hardware.devices import jetson_agx
 from repro.workloads import vit
 from tests.conftest import build_tiny_spec, build_tiny_workload
+from tests.ilp.reference_milp import IntegerProgram, LinearProgram
 
 
 class TestIntegerProgramModel:
@@ -104,7 +104,7 @@ class TestCLICampaignBofl:
 
 class TestSparseMatrixPaths:
     def test_lp_without_constraints_is_trivial(self):
-        from repro.ilp.simplex import solve_lp
+        from tests.ilp.reference_milp import solve_lp
 
         sol = solve_lp(LinearProgram(c=[2.0, 3.0]))
         assert sol.is_optimal
