@@ -9,7 +9,11 @@ Three hard thresholds back the million-client story:
   second per call (the regime where report materialization, not event
   resolution, dominates);
 * the columnar trace container is measurably smaller than row-per-event
-  JSONL for the same deterministic event stream.
+  JSONL for the same deterministic event stream;
+* re-preparing the 10k-client fleet from a warm memo, or from a warm
+  persistent cache with a fresh memo, costs under 20 % of the cold
+  prepare: the executor resolves each of the dozen distinct campaigns
+  once, so a warm prepare does no per-client copying.
 
 CI's fleet-scale job runs this module plus the ``slow``-marked smokes in
 ``tests/sim/test_fleet_scale.py`` (10k/100k clients under wall-clock and
@@ -23,7 +27,9 @@ import pytest
 
 from repro.obs import runtime as obs
 from repro.obs.columnar import write_columnar
+from repro.sim.cache import PersistentCampaignCache
 from repro.sim.fleet import FleetSpec, compose_fleet, prepare_fleet
+from repro.sim.runner import clear_campaign_cache
 from tests.federated.reference_fleet import reference_compose_fleet
 
 SCALE_SPEC = FleetSpec(
@@ -85,3 +91,38 @@ def test_columnar_trace_is_smaller(tmp_path, clients):
     columnar = write_columnar(tmp_path / "trace.col", list(session.log))
     ratio = columnar.stat().st_size / jsonl.stat().st_size
     assert ratio < 0.75, f"columnar/jsonl size ratio {ratio:.2f}"
+
+
+def test_warm_prepare_costs_a_lookup_per_campaign(tmp_path, publish):
+    """A warm re-prepare takes < 20 % of the cold one, memo or disk."""
+    cache = PersistentCampaignCache(tmp_path)
+
+    def timed_prepare():
+        t0 = time.perf_counter()
+        clients = prepare_fleet(SCALE_SPEC, cache=cache)
+        return clients, time.perf_counter() - t0
+
+    clear_campaign_cache()
+    try:
+        cold, cold_s = timed_prepare()
+        memo, memo_s = timed_prepare()
+        clear_campaign_cache()
+        disk, disk_s = timed_prepare()
+    finally:
+        clear_campaign_cache()
+    publish(
+        "fleet_prepare",
+        "\n".join(
+            [
+                "fleet prepare (10k clients, async, 5 rounds)",
+                f"  cold (computes)        {cold_s * 1e3:9.1f} ms",
+                f"  warm memo              {memo_s * 1e3:9.1f} ms",
+                f"  warm disk, fresh memo  {disk_s * 1e3:9.1f} ms",
+            ]
+        ),
+    )
+    distinct = len({id(c.records) for c in cold})
+    assert len({id(c.records) for c in memo}) == distinct
+    assert len({id(c.records) for c in disk}) == distinct
+    assert memo_s < 0.2 * cold_s, f"warm-memo prepare {memo_s / cold_s:.0%} of cold"
+    assert disk_s < 0.2 * cold_s, f"warm-disk prepare {disk_s / cold_s:.0%} of cold"

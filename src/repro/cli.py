@@ -764,7 +764,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         **extra,
     )
     # Reject a composition the engine would refuse before any campaign is
-    # simulated: at 100k clients trace gathering takes about a minute.
+    # simulated: a cold trace gathering spends seconds computing campaigns.
     check_detail(
         args.detail,
         mode=spec.mode,

@@ -15,8 +15,12 @@ Cache layering (checked in order, all keyed by
 1. the in-process memo in :mod:`repro.sim.runner` ("memory");
 2. the optional durable :class:`~repro.sim.cache.PersistentCampaignCache`
    ("disk");
-3. a worker process computes the campaign ("computed") and the parent
-   writes the result through both layers.
+3. the campaign is computed, in a worker process ("computed") or in-process
+   when ``workers=1`` ("inline"), and the parent writes the result through
+   every layer.
+
+Each distinct key is looked up, or computed, once per :meth:`run`;
+duplicate specs share one result object, whichever layer served it.
 
 Per-campaign :class:`CampaignTiming` records (source + wall seconds) make
 long grids observable; pass a ``progress`` callback to stream them.
@@ -42,6 +46,7 @@ from repro.servertune.controllers import ServerTuneSpec
 from repro.sim import runner as _runner
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.runner import (
+    CampaignCacheProtocol,
     CampaignKey,
     campaign_key,
     prime_campaign_cache,
@@ -181,10 +186,11 @@ ProgressCallback = Callable[[int, int, CampaignTiming], None]
 
 
 def _compute_spec(spec: CampaignSpec) -> CampaignResult:
-    """Worker-side entry point: compute one campaign from scratch.
+    """Compute one campaign from scratch, inline or in a pool worker.
 
-    ``use_cache=False`` keeps worker processes from uselessly memoizing
-    results that die with them; the parent primes its own caches instead.
+    ``use_cache=False`` skips the runner's own lookup and write-through:
+    the executor has already missed every layer and stores the result
+    itself, and a worker's memo would die with the process anyway.
     """
     return spec.run(use_cache=False)
 
@@ -219,10 +225,11 @@ class ExecutionReport:
 class CampaignExecutor:
     """Fan campaign grids out over worker processes, cache-aware.
 
-    ``workers=1`` degrades to the plain in-process :func:`run_campaign`
-    path — no subprocesses, no pickling — which unit tests rely on for
-    determinism and debuggability.  Any higher count uses a process pool;
-    duplicate specs within one submission are computed once.
+    ``workers=1`` computes in-process — no subprocesses, no pickling —
+    which unit tests rely on for determinism and debuggability.  Any
+    higher count uses a process pool; both store results the same way.
+    Duplicate specs within one submission are looked up or computed once
+    and share one result object.
     """
 
     def __init__(
@@ -240,26 +247,26 @@ class CampaignExecutor:
 
     # -- cache layers --------------------------------------------------------
 
-    def _lookup(self, spec: CampaignSpec) -> tuple[Optional[CampaignResult], str]:
-        key = spec.key()
+    def _layers(self) -> list[CampaignCacheProtocol]:
+        """The distinct durable layers: this executor's, then the installed one."""
+        layers = (self.cache, _runner.get_persistent_cache())
+        return list({id(c): c for c in layers if c is not None}.values())
+
+    def _lookup(self, key: CampaignKey) -> tuple[Optional[CampaignResult], str]:
         cached = _runner._CAMPAIGN_CACHE.get(key)
         if cached is not None:
             # Defensive copy: the memo's value is private (see runner).
             return copy.deepcopy(cached), "memory"
-        for layer in (self.cache, _runner.get_persistent_cache()):
-            if layer is None:
-                continue
+        for layer in self._layers():
             loaded = layer.get(key)
             if loaded is not None:
                 prime_campaign_cache(key, loaded)
                 return loaded, "disk"
         return None, "miss"
 
-    def _store(self, spec: CampaignSpec, result: CampaignResult) -> None:
-        key = spec.key()
+    def _store(self, key: CampaignKey, result: CampaignResult) -> None:
         prime_campaign_cache(key, result)
-        for layer in {id(c): c for c in (self.cache, _runner.get_persistent_cache())
-                      if c is not None}.values():
+        for layer in self._layers():
             layer.put(key, result)
 
     # -- execution -----------------------------------------------------------
@@ -294,21 +301,37 @@ class CampaignExecutor:
             if self.progress is not None:
                 self.progress(done_count, total, timing)
 
-        #: key -> list of spec indices still needing a result (dedup).
+        #: key -> spec indices still needing a result (dedup).
         pending: dict[CampaignKey, list[int]] = {}
+        #: key -> the result its first index found in a cache layer; later
+        #: indices share that object instead of copying the memo again.
+        served: dict[CampaignKey, CampaignResult] = {}
         for index, spec in enumerate(specs):
-            if use_cache:
-                hit, source = self._lookup(spec)
+            key = spec.key()
+            if use_cache and key not in pending:
+                if key in served:
+                    finish(index, served[key], 0.0, "memory")
+                    continue
+                hit, source = self._lookup(key)
                 if hit is not None:
+                    served[key] = hit
                     finish(index, hit, 0.0, source)
                     continue
-            pending.setdefault(spec.key(), []).append(index)
+            pending.setdefault(key, []).append(index)
+
+        def complete(
+            key: CampaignKey, result: CampaignResult, seconds: float, source: str
+        ) -> None:
+            if use_cache:
+                self._store(key, result)
+            for index in pending[key]:
+                finish(index, result, seconds, source)
 
         if pending:
             if self.workers == 1:
-                self._run_inline(pending, specs, use_cache, finish)
+                self._run_inline(pending, specs, complete)
             else:
-                self._run_pool(pending, specs, use_cache, finish)
+                self._run_pool(pending, specs, complete)
 
         ordered_timings = [timings[i] for i in sorted(timings)]
         self.timings.extend(ordered_timings)
@@ -328,34 +351,25 @@ class CampaignExecutor:
         self,
         pending: dict[CampaignKey, list[int]],
         specs: Sequence[CampaignSpec],
-        use_cache: bool,
-        finish: Callable[[int, CampaignResult, float, str], None],
+        complete: Callable[[CampaignKey, CampaignResult, float, str], None],
     ) -> None:
         for key, indices in pending.items():
-            spec = specs[indices[0]]
             t0 = time.perf_counter()
-            result = spec.run(use_cache=use_cache)
-            seconds = time.perf_counter() - t0
-            if use_cache and self.cache is not None:
-                # run() already primed the runner-level caches.
-                self.cache.put(key, result)
-            for index in indices:
-                finish(index, result, seconds, "inline")
+            result = _compute_spec(specs[indices[0]])
+            complete(key, result, time.perf_counter() - t0, "inline")
 
     def _run_pool(
         self,
         pending: dict[CampaignKey, list[int]],
         specs: Sequence[CampaignSpec],
-        use_cache: bool,
-        finish: Callable[[int, CampaignResult, float, str], None],
+        complete: Callable[[CampaignKey, CampaignResult, float, str], None],
     ) -> None:
         workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future[CampaignResult], tuple[CampaignKey, list[int], float]] = {}
+            futures: dict[Future[CampaignResult], tuple[CampaignKey, float]] = {}
             for key, indices in pending.items():
-                spec = specs[indices[0]]
-                futures[pool.submit(_compute_spec, spec)] = (
-                    key, indices, time.perf_counter(),
+                futures[pool.submit(_compute_spec, specs[indices[0]])] = (
+                    key, time.perf_counter(),
                 )
             outstanding = set(futures)
             while outstanding:
@@ -363,14 +377,9 @@ class CampaignExecutor:
                     outstanding, return_when=FIRST_COMPLETED
                 )
                 for future in completed:
-                    key, indices, t0 = futures[future]
+                    key, t0 = futures[future]
                     result = future.result()
-                    seconds = time.perf_counter() - t0
-                    spec = specs[indices[0]]
-                    if use_cache:
-                        self._store(spec, result)
-                    for index in indices:
-                        finish(index, result, seconds, "computed")
+                    complete(key, result, time.perf_counter() - t0, "computed")
 
 
 def execute_campaigns(

@@ -6,15 +6,19 @@ work unit derives its scenario seed from (device, task, ratio, seed)
 exactly as ``run_campaign`` does.
 """
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import (
     CampaignExecutor,
     CampaignSpec,
+    PersistentCampaignCache,
     clear_campaign_cache,
     execute_campaigns,
     expand_grid,
+    install_persistent_cache,
     resolve_workers,
     run_campaign,
 )
@@ -24,8 +28,28 @@ from repro.sim import runner as runner_module
 @pytest.fixture(autouse=True)
 def isolated_cache():
     clear_campaign_cache()
+    install_persistent_cache(None)
     yield
     clear_campaign_cache()
+    install_persistent_cache(None)
+
+
+def count_deepcopies(monkeypatch):
+    """Record every top-level ``copy.deepcopy`` call from now on.
+
+    ``deepcopy`` recurses through the module global it is patched over,
+    always passing its ``memo`` dict; only calls without one are counted.
+    """
+    calls = []
+    real = copy.deepcopy
+
+    def counting(x, memo=None):
+        if memo is None:
+            calls.append(x)
+        return real(x, memo)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    return calls
 
 
 class TestSpecAndGrid:
@@ -101,7 +125,7 @@ class TestExecution:
         assert report.results[0] == report.results[1] == report.results[2]
         computed = [t for t in report.timings if t.source == "computed"]
         assert len(computed) == 3  # all three reported, one execution
-        assert len({id(r) for r in report.results}) >= 1
+        assert len({id(r) for r in report.results}) == 1
 
     def test_workers_one_primes_the_memo(self):
         CampaignExecutor(workers=1).run([SPECS[0]])
@@ -146,3 +170,45 @@ class TestExecution:
         first.records.clear()  # caller mutates its copy
         second = executor.run([SPECS[0]]).results[0]
         assert second.rounds == 3
+
+
+#: A submission with duplicates: A at 0, 2, 3 and B at 1, 4.
+DUPLICATED = [SPECS[0], SPECS[1], SPECS[0], SPECS[0], SPECS[1]]
+A_INDICES = (0, 2, 3)
+
+
+class TestDistinctKeysResolvedOnce:
+    def test_memo_warm_duplicates_share_one_copy(self, monkeypatch):
+        executor = CampaignExecutor(workers=1)
+        executor.run(SPECS[:2])
+        copies = count_deepcopies(monkeypatch)
+        report = executor.run(DUPLICATED)
+        assert len(copies) == 2  # one defensive copy per distinct key
+        assert len({id(report.results[i]) for i in A_INDICES}) == 1
+        assert [t.source for t in report.timings] == ["memory"] * 5
+
+    def test_disk_warm_duplicates_share_one_result(self, tmp_path):
+        cold = CampaignExecutor(
+            workers=1, cache=PersistentCampaignCache(tmp_path)
+        ).run(DUPLICATED)
+        clear_campaign_cache()
+        cache = PersistentCampaignCache(tmp_path)
+        warm = CampaignExecutor(workers=1, cache=cache).run(DUPLICATED)
+        assert [t.source for t in warm.timings] == [
+            "disk", "disk", "memory", "memory", "memory",
+        ]
+        assert cache.hits == 2
+        assert len({id(warm.results[i]) for i in A_INDICES}) == 1
+        assert warm.results == cold.results
+
+    @pytest.mark.parametrize("installed", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_spec_is_looked_up_and_written_once(
+        self, tmp_path, workers, installed
+    ):
+        cache = PersistentCampaignCache(tmp_path)
+        if installed:
+            install_persistent_cache(cache)
+        CampaignExecutor(workers=workers, cache=cache).run([SPECS[0]])
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.writes) == (0, 1, 1)

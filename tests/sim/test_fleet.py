@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as obs
+from repro.sim import clear_campaign_cache
 from repro.sim.fleet import (
     FLEET_SELECTORS,
     FleetSpec,
@@ -202,6 +203,22 @@ class TestPrepareAndCompose:
         )
         for rnd in result.rounds:
             assert len(rnd.participants) == 3
+
+
+class TestWarmPrepare:
+    def test_warm_memo_shares_one_record_list_per_campaign(self):
+        spec = FleetSpec(**{**TINY, "n_clients": 2_000})
+        clear_campaign_cache()
+        try:
+            cold = prepare_fleet(spec, workers=1)
+            warm = prepare_fleet(spec, workers=1)
+        finally:
+            clear_campaign_cache()
+        keys = {campaign_spec_for(client, spec).key() for client in warm}
+        assert len({id(client.records) for client in warm}) == len(keys)
+        assert fleet_summary(spec, compose_fleet(spec, warm)) == fleet_summary(
+            spec, compose_fleet(spec, cold)
+        )
 
 
 class TestRunFleetDeterminism:
