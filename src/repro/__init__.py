@@ -30,39 +30,22 @@ Quickstart::
 
 from __future__ import annotations
 
-import importlib
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
 
 if TYPE_CHECKING:
     from repro import obs
     from repro.clock import SimulationClock
-    from repro.core import BoFLConfig, BoFLController
+    from repro.core.config import BoFLConfig
+    from repro.core.controller import BoFLController
     from repro.core.records import CampaignResult, RoundRecord
-    from repro.hardware import SimulatedDevice, get_device, jetson_agx, jetson_tx2
-    from repro.sim import run_campaign
+    from repro.hardware.device import SimulatedDevice
+    from repro.hardware.devices import get_device, jetson_agx, jetson_tx2
+    from repro.sim.runner import run_campaign
     from repro.types import DvfsConfiguration, PerformanceSample
-    from repro.workloads import get_workload
-
-#: Re-exports served lazily (PEP 562), by defining module.  Every
-#: ``import repro.x`` runs this file first, so an eager re-export would
-#: load its whole layer (and the BO stack's scipy) into every process.
-_LAZY_EXPORTS = {
-    "BoFLConfig": "repro.core.config",
-    "BoFLController": "repro.core.controller",
-    "CampaignResult": "repro.core.records",
-    "DvfsConfiguration": "repro.types",
-    "PerformanceSample": "repro.types",
-    "RoundRecord": "repro.core.records",
-    "SimulatedDevice": "repro.hardware.device",
-    "SimulationClock": "repro.clock",
-    "get_device": "repro.hardware.devices",
-    "get_workload": "repro.workloads.zoo",
-    "jetson_agx": "repro.hardware.devices",
-    "jetson_tx2": "repro.hardware.devices",
-    "run_campaign": "repro.sim.runner",
-}
+    from repro.workloads.zoo import get_workload
 
 
 def quick_campaign(
@@ -105,10 +88,6 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> object:
-    if name == "obs":
-        return importlib.import_module("repro.obs")
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)
+#: Every ``import repro.x`` runs this file first, so the re-exports are
+#: served lazily (see :mod:`repro._lazy`).
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -1,22 +1,27 @@
 """Metrics and report rendering for the evaluation experiments."""
 
-from repro.analysis.metrics import (
-    energy_spread,
-    exploration_summary,
-    front_coverage,
-    hypervolume_ratio,
-    improvement_vs_performant,
-    latency_spread,
-    regret_vs_oracle,
-)
-from repro.analysis.tables import ascii_table, format_series, render_kv
-from repro.analysis.charts import line_chart, sparkline
-from repro.analysis.io import (
-    campaign_from_dict,
-    campaign_to_dict,
-    load_campaign,
-    save_campaign,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.metrics import (
+        energy_spread,
+        exploration_summary,
+        front_coverage,
+        hypervolume_ratio,
+        improvement_vs_performant,
+        latency_spread,
+        regret_vs_oracle,
+    )
+    from repro.analysis.tables import ascii_table, format_series, render_kv
+    from repro.analysis.charts import line_chart, sparkline
+    from repro.analysis.io import (
+        campaign_from_dict,
+        campaign_to_dict,
+        load_campaign,
+        save_campaign,
+    )
 
 __all__ = [
     "ascii_table",
@@ -36,3 +41,5 @@ __all__ = [
     "regret_vs_oracle",
     "render_kv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -16,15 +16,15 @@
   the kernel's frequency scaling.
 """
 
-import importlib
 from typing import TYPE_CHECKING
 
-from repro.baselines.performant import PerformantController
-from repro.baselines.oracle import OracleController
-from repro.baselines.linear_pace import LinearPaceController
-from repro.baselines.governor import OndemandGovernorController
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.baselines.governor import OndemandGovernorController
+    from repro.baselines.linear_pace import LinearPaceController
+    from repro.baselines.oracle import OracleController
+    from repro.baselines.performant import PerformantController
     from repro.baselines.random_only import RandomSearchController
 
 __all__ = [
@@ -35,10 +35,4 @@ __all__ = [
     "RandomSearchController",
 ]
 
-
-def __getattr__(name: str) -> object:
-    # Served lazily (PEP 562): it subclasses BoFLController, whose MBO
-    # engine imports scipy.
-    if name == "RandomSearchController":
-        return importlib.import_module("repro.baselines.random_only").RandomSearchController
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -16,20 +16,9 @@ stack is self-contained:
   safe random exploration phase (§4.2, "Sample selection").
 """
 
-import importlib
 from typing import TYPE_CHECKING
 
-from repro.bayesopt.kernels import Kernel, Matern52, RBF
-from repro.bayesopt.pareto import (
-    crowding_distance,
-    pareto_front,
-    pareto_mask,
-)
-from repro.bayesopt.hypervolume import (
-    hypervolume,
-    hypervolume_2d,
-    hypervolume_improvement_2d,
-)
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.bayesopt.acquisition import (
@@ -37,23 +26,16 @@ if TYPE_CHECKING:
         expected_improvement,
     )
     from repro.bayesopt.gp import GaussianProcess
+    from repro.bayesopt.hypervolume import (
+        hypervolume,
+        hypervolume_2d,
+        hypervolume_improvement_2d,
+    )
+    from repro.bayesopt.kernels import RBF, Kernel, Matern52
     from repro.bayesopt.optimizer import MultiObjectiveBayesianOptimizer
     from repro.bayesopt.parego import ParEGOSuggester, tchebycheff_scalarize
+    from repro.bayesopt.pareto import crowding_distance, pareto_front, pareto_mask
     from repro.bayesopt.sampling import sobol_configurations, uniform_configurations
-
-#: Names served lazily (PEP 562), by defining module.  The GP stack
-#: imports scipy, which only a GP fit needs; importing the package
-#: (e.g. for ``pareto``) stays numpy-only.
-_LAZY_EXPORTS = {
-    "GaussianProcess": "repro.bayesopt.gp",
-    "MultiObjectiveBayesianOptimizer": "repro.bayesopt.optimizer",
-    "ParEGOSuggester": "repro.bayesopt.parego",
-    "expected_hypervolume_improvement": "repro.bayesopt.acquisition",
-    "expected_improvement": "repro.bayesopt.acquisition",
-    "sobol_configurations": "repro.bayesopt.sampling",
-    "tchebycheff_scalarize": "repro.bayesopt.parego",
-    "uniform_configurations": "repro.bayesopt.sampling",
-}
 
 __all__ = [
     "GaussianProcess",
@@ -75,9 +57,4 @@ __all__ = [
     "uniform_configurations",
 ]
 
-
-def __getattr__(name: str) -> object:
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -49,44 +49,15 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro._version import __version__
-from repro.analysis.tables import render_kv
 from repro.errors import ConfigurationError
-from repro.federated.async_engine import (
-    FLEET_DETAILS,
-    FLEET_MODES,
-    check_detail,
-)
-from repro.sim import (
-    CHAOS_PRESETS,
-    FLEET_SELECTORS,
-    CampaignExecutor,
-    FleetSpec,
-    PersistentCampaignCache,
-    chaos_report_from_trace,
-    compose_fleet,
-    fleet_summary,
-    install_persistent_cache,
-    prepare_fleet,
-    render_fleet_summary,
-    run_campaign,
-    run_chaos,
-    sweep_campaign,
-)
-from repro.service import (
-    DecisionRequest,
-    PaceDecisionService,
-    ServiceConfig,
-    run_loadtest,
-    service_report_from_trace,
-)
-from repro.servertune.controllers import normalize_servertune
-from repro.sim.fleet import fleet_report_from_trace
-from repro.sim.executor import CampaignTiming, ProgressCallback
-from repro.sim.runner import CONTROLLER_NAMES
+
+if TYPE_CHECKING:
+    from repro.service.engine import ServiceConfig
+    from repro.sim.executor import CampaignTiming, ProgressCallback
 
 #: Views ``repro trace`` can render from a JSONL event trace.
 TRACE_VIEWS = ("summary", "tab3", "fig13")
@@ -94,6 +65,11 @@ TRACE_VIEWS = ("summary", "tab3", "fig13")
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for the ``repro`` CLI."""
+    from repro.federated.async_engine import FLEET_DETAILS, FLEET_MODES
+    from repro.sim.chaos import CHAOS_PRESETS
+    from repro.sim.fleet import FLEET_SELECTORS
+    from repro.sim.runner import CONTROLLER_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BoFL reproduction (Middleware '22): regenerate paper artifacts.",
@@ -486,6 +462,9 @@ def _setup_persistence(args: argparse.Namespace) -> None:
     """Install the durable cache when a directory was requested."""
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir:
+        from repro.sim.cache import PersistentCampaignCache
+        from repro.sim.runner import install_persistent_cache
+
         install_persistent_cache(PersistentCampaignCache(cache_dir))
 
 
@@ -541,6 +520,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> str:
+    from repro.analysis.tables import render_kv
+    from repro.sim.runner import run_campaign
+
     if args.trace:
         # A cached result would leave the trace empty; always recompute.
         with obs.session() as session:
@@ -578,6 +560,10 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
+    from repro.analysis.tables import render_kv
+    from repro.sim.executor import CampaignExecutor
+    from repro.sim.sweep import sweep_campaign
+
     workers = _normalize_workers(args.workers)
     executor = CampaignExecutor(
         workers=workers, progress=_progress_printer(args.progress)
@@ -604,6 +590,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    from repro.service.engine import ServiceConfig
+
     return ServiceConfig(
         max_queue=args.max_queue,
         timeout=args.timeout,
@@ -614,6 +602,9 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 def _cmd_serve(args: argparse.Namespace) -> str:
     """Answer a JSONL request stream; the decision log goes to stdout."""
     import json as _json
+
+    from repro.service.api import DecisionRequest
+    from repro.service.engine import PaceDecisionService
 
     if args.file:
         lines = pathlib.Path(args.file).read_text().splitlines()
@@ -657,6 +648,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> str:
+    from repro.service.loadgen import run_loadtest, service_report_from_trace
+    from repro.sim.fleet import FleetSpec
+
     if args.from_trace:
         return service_report_from_trace(args.from_trace)
     spec = FleetSpec(
@@ -690,6 +684,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> str:
+    from repro.sim.cache import PersistentCampaignCache
+
     cache = PersistentCampaignCache(args.cache_dir)
     if args.action == "clear":
         removed = cache.clear()
@@ -698,6 +694,9 @@ def _cmd_cache(args: argparse.Namespace) -> str:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> str:
+    from repro.sim.chaos import chaos_report_from_trace, run_chaos
+    from repro.sim.executor import CampaignExecutor
+
     if args.chaos_command == "report":
         return chaos_report_from_trace(args.file)
     recovery = not args.no_recovery
@@ -741,6 +740,17 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> str:
+    from repro.federated.async_engine import check_detail
+    from repro.servertune.controllers import normalize_servertune
+    from repro.sim.fleet import (
+        FleetSpec,
+        compose_fleet,
+        fleet_report_from_trace,
+        fleet_summary,
+        prepare_fleet,
+        render_fleet_summary,
+    )
+
     if args.fleet_command == "report":
         return fleet_report_from_trace(args.file)
     extra: dict = {}
@@ -815,6 +825,7 @@ def _cmd_servertune(args: argparse.Namespace) -> str:
         render_frontier_artifact,
         run_pbt,
     )
+    from repro.sim.fleet import FleetSpec
 
     if args.servertune_command == "report":
         try:

@@ -15,21 +15,21 @@ configuration to train under:
    schedule ILP over the observed Pareto set and execute the plan.
 """
 
-import importlib
 from typing import TYPE_CHECKING
 
-from repro.core.base import PaceController
-from repro.core.config import BoFLConfig
-from repro.core.exploitation import ExploitationPlanner
-from repro.core.guardian import DeadlineGuardian
-from repro.core.observations import ObservationStore
-from repro.core.phases import Phase, PhaseTransition
-from repro.core.records import MBOReport, RoundRecord
-from repro.core.stopping import StoppingCondition
-from repro.core.workload_assignment import MeasurementPolicy
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.core.base import PaceController
+    from repro.core.config import BoFLConfig
     from repro.core.controller import BoFLController
+    from repro.core.exploitation import ExploitationPlanner
+    from repro.core.guardian import DeadlineGuardian
+    from repro.core.observations import ObservationStore
+    from repro.core.phases import Phase, PhaseTransition
+    from repro.core.records import MBOReport, RoundRecord
+    from repro.core.stopping import StoppingCondition
+    from repro.core.workload_assignment import MeasurementPolicy
 
 __all__ = [
     "BoFLConfig",
@@ -46,10 +46,4 @@ __all__ = [
     "StoppingCondition",
 ]
 
-
-def __getattr__(name: str) -> object:
-    # Served lazily (PEP 562): the controller's MBO engine imports scipy,
-    # which the planner, guardian and records never need.
-    if name == "BoFLController":
-        return importlib.import_module("repro.core.controller").BoFLController
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__)

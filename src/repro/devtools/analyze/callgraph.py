@@ -146,6 +146,7 @@ def _classify_canonical(
     project: ProjectIndex, canonical: str, node: ast.Call
 ) -> tuple[str, str]:
     """A fully-resolved dotted name -> internal edge, constructor, or external."""
+    canonical = project.resolve_export(canonical)
     if canonical in project.functions:
         return ("internal", canonical)
     if canonical in project.classes:
@@ -206,7 +207,7 @@ def _resolve_call(
             return (kind, value)
         # ``alias.ClassName.method`` — one more hop through project classes.
         if len(rest) >= 1:
-            prefix = ".".join([module.aliases[base], *rest[:-1]])
+            prefix = project.resolve_export(".".join([module.aliases[base], *rest[:-1]]))
             if prefix in project.classes:
                 method = project.resolve_method(prefix, rest[-1])
                 if method is not None:
@@ -239,8 +240,10 @@ def _annotation_class(
         candidate = ".".join([resolved_base, *parts[1:]])
     else:
         return None
-    if candidate is not None and candidate in project.classes:
-        return candidate
+    if candidate is not None:
+        candidate = project.resolve_export(candidate)
+        if candidate in project.classes:
+            return candidate
     return None
 
 
@@ -292,6 +295,8 @@ def _constructed_class(
         parts = dotted_parts(callee)
         if parts and parts[0] in module.aliases:
             candidate = ".".join([module.aliases[parts[0]], *parts[1:]])
-    if candidate is not None and candidate in project.classes:
-        return candidate
+    if candidate is not None:
+        candidate = project.resolve_export(candidate)
+        if candidate in project.classes:
+            return candidate
     return None

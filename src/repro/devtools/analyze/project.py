@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Optional, Union
 
+from repro._lazy import declared_exports
 from repro.devtools.lint.engine import SourceFile
 from repro.devtools.lint.rules import import_aliases, module_package
 
@@ -100,6 +101,8 @@ class ModuleInfo:
     package: str
     source: SourceFile
     aliases: dict[str, str]
+    #: A package's declared re-exports (its ``if TYPE_CHECKING:`` imports).
+    exports: dict[str, str] = field(default_factory=dict)  # name -> origin
     functions: dict[str, str] = field(default_factory=dict)  # local name -> qualname
     classes: dict[str, str] = field(default_factory=dict)  # local name -> qualname
     mutables: dict[str, int] = field(default_factory=dict)  # name -> def line
@@ -143,6 +146,11 @@ class ProjectIndex:
             source=source,
             aliases=import_aliases(source.tree, package),
         )
+        if source.relpath.endswith("__init__.py"):
+            info.exports = {
+                name: f"{origin}.{attr}"
+                for name, (origin, attr) in declared_exports(source.tree).items()
+            }
         exemptions = _key_exempt_comments(source.text)
         for statement in source.tree.body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -213,8 +221,25 @@ class ProjectIndex:
                 continue
             if method in info.methods:
                 return info.methods[method]
-            queue.extend(info.bases)
+            queue.extend(self.resolve_export(base) for base in info.bases)
         return None
+
+    def resolve_export(self, name: str) -> str:
+        """Follow package re-exports to the defining name.
+
+        ``repro.sim.run_campaign`` -> ``repro.sim.runner.run_campaign``
+        when ``repro/sim/__init__.py`` declares that import; any other
+        name comes back unchanged.
+        """
+        seen: set[str] = set()
+        while name not in self.functions and name not in self.classes and name not in seen:
+            seen.add(name)
+            package, _, attr = name.rpartition(".")
+            module = self.modules.get(package)
+            if module is None or attr not in module.exports:
+                break
+            name = module.exports[attr]
+        return name
 
     def function_relpath(self, qualname: str) -> str:
         function = self.functions[qualname]

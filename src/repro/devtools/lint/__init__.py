@@ -4,18 +4,23 @@ Public surface: the engine types plus :func:`lint_paths`; the built-in
 rules register themselves when the engine enumerates the registry.
 """
 
-from repro.devtools.lint.engine import (
-    LINT_REPORT_VERSION,
-    LintReport,
-    Rule,
-    SourceFile,
-    Violation,
-    find_repo_root,
-    get_rule,
-    iter_rules,
-    lint_paths,
-    register_rule,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.devtools.lint.engine import (
+        LINT_REPORT_VERSION,
+        LintReport,
+        Rule,
+        SourceFile,
+        Violation,
+        find_repo_root,
+        get_rule,
+        iter_rules,
+        lint_paths,
+        register_rule,
+    )
 
 __all__ = [
     "LINT_REPORT_VERSION",
@@ -29,3 +34,5 @@ __all__ = [
     "lint_paths",
     "register_rule",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -7,10 +7,17 @@ benchmarks, tests and the EXPERIMENTS.md generator share one source of
 truth.
 """
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    get_experiment,
-    warm_experiment_cache,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.registry import (
+        EXPERIMENTS,
+        get_experiment,
+        warm_experiment_cache,
+    )
 
 __all__ = ["EXPERIMENTS", "get_experiment", "warm_experiment_cache"]
+
+__getattr__, __dir__ = lazy_exports(__name__)

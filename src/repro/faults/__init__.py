@@ -25,15 +25,20 @@ parallel execution through the executor/cache) lives one layer up in
 :mod:`repro.sim.chaos` so this package never imports the sim harness.
 """
 
-from repro.faults.engine import ChaosRoundEngine
-from repro.faults.injectors import FaultInjector, RoundFaults
-from repro.faults.metrics import ResilienceMetrics
-from repro.faults.recovery import RecoveryLog, RecoveryPolicy
-from repro.faults.schedule import (
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultSpec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.engine import ChaosRoundEngine
+    from repro.faults.injectors import FaultInjector, RoundFaults
+    from repro.faults.metrics import ResilienceMetrics
+    from repro.faults.recovery import RecoveryLog, RecoveryPolicy
+    from repro.faults.schedule import (
+        FAULT_KINDS,
+        FaultSchedule,
+        FaultSpec,
+    )
 
 __all__ = [
     "FAULT_KINDS",
@@ -46,3 +51,5 @@ __all__ = [
     "ResilienceMetrics",
     "RoundFaults",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

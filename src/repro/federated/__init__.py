@@ -7,37 +7,42 @@ the client-side training pace delegated to a pluggable controller
 Performant/Oracle and others).
 """
 
-from repro.federated.task import (
-    FLTaskSpec,
-    cifar10_vit,
-    imagenet_resnet50,
-    imdb_lstm,
-    paper_tasks,
-)
-from repro.federated.deadlines import (
-    DeadlineSchedule,
-    StaticDeadlines,
-    UniformDeadlines,
-)
-from repro.federated.aggregation import FedAvg, TrimmedMeanAggregator
-from repro.federated.async_engine import (
-    FLEET_MODES,
-    AsyncFederationEngine,
-    FleetClient,
-    FleetReport,
-    FleetResult,
-    FleetRound,
-    staleness_weight,
-)
-from repro.federated.selection import (
-    AllClientsSelector,
-    EnergyAwareSelector,
-    RandomSelector,
-)
-from repro.federated.client import FederatedClient
-from repro.federated.server import FederatedServer
-from repro.federated.transport import BandwidthEstimator, LinkModel
-from repro.federated.reporting import ReportingDeadlineAdapter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.federated.task import (
+        FLTaskSpec,
+        cifar10_vit,
+        imagenet_resnet50,
+        imdb_lstm,
+        paper_tasks,
+    )
+    from repro.federated.deadlines import (
+        DeadlineSchedule,
+        StaticDeadlines,
+        UniformDeadlines,
+    )
+    from repro.federated.aggregation import FedAvg, TrimmedMeanAggregator
+    from repro.federated.async_engine import (
+        FLEET_MODES,
+        AsyncFederationEngine,
+        FleetClient,
+        FleetReport,
+        FleetResult,
+        FleetRound,
+        staleness_weight,
+    )
+    from repro.federated.selection import (
+        AllClientsSelector,
+        EnergyAwareSelector,
+        RandomSelector,
+    )
+    from repro.federated.client import FederatedClient
+    from repro.federated.server import FederatedServer
+    from repro.federated.transport import BandwidthEstimator, LinkModel
+    from repro.federated.reporting import ReportingDeadlineAdapter
 
 __all__ = [
     "AllClientsSelector",
@@ -66,3 +71,5 @@ __all__ = [
     "imdb_lstm",
     "paper_tasks",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

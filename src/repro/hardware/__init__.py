@@ -13,24 +13,29 @@ latency/energy measurements — so swapping in real hardware would only
 require reimplementing that class.
 """
 
-from repro.hardware.frequency import (
-    ConfigurationSpace,
-    FrequencyTable,
-)
-from repro.hardware.devices import (
-    DeviceSpec,
-    available_devices,
-    get_device,
-    jetson_agx,
-    jetson_tx2,
-)
-from repro.hardware.power import DevicePowerModel, UnitPowerModel, VoltageCurve
-from repro.hardware.perfmodel import AnalyticPerformanceModel, CalibrationTarget
-from repro.hardware.noise import MeasurementNoise, NoiselessMeasurement
-from repro.hardware.dvfs import DvfsController
-from repro.hardware.thermal import ThermalModel
-from repro.hardware.telemetry import EnergyMeter, EventTimer, PowerSensor
-from repro.hardware.device import SimulatedDevice
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.hardware.frequency import (
+        ConfigurationSpace,
+        FrequencyTable,
+    )
+    from repro.hardware.devices import (
+        DeviceSpec,
+        available_devices,
+        get_device,
+        jetson_agx,
+        jetson_tx2,
+    )
+    from repro.hardware.power import DevicePowerModel, UnitPowerModel, VoltageCurve
+    from repro.hardware.perfmodel import AnalyticPerformanceModel, CalibrationTarget
+    from repro.hardware.noise import MeasurementNoise, NoiselessMeasurement
+    from repro.hardware.dvfs import DvfsController
+    from repro.hardware.thermal import ThermalModel
+    from repro.hardware.telemetry import EnergyMeter, EventTimer, PowerSensor
+    from repro.hardware.device import SimulatedDevice
 
 __all__ = [
     "AnalyticPerformanceModel",
@@ -54,3 +59,5 @@ __all__ = [
     "jetson_agx",
     "jetson_tx2",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -10,12 +10,17 @@ by a closed-form pair-mixing plan.  Each solve reports whether it proved
 optimality (``ilp.solve`` event, ``status``) within a fixed node budget.
 """
 
-from repro.ilp.schedule import (
-    ScheduleProblem,
-    solve_schedule,
-    solve_schedule_greedy,
-    solve_schedule_pairs,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ilp.schedule import (
+        ScheduleProblem,
+        solve_schedule,
+        solve_schedule_greedy,
+        solve_schedule_pairs,
+    )
 
 __all__ = [
     "ScheduleProblem",
@@ -23,3 +28,5 @@ __all__ = [
     "solve_schedule_greedy",
     "solve_schedule_pairs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -10,19 +10,24 @@ simulated executor for speed (the energy results never depend on gradient
 values — a job is a job).
 """
 
-from repro.ml.layers import Dense, Dropout, Layer, ReLU, Sequential, Tanh
-from repro.ml.losses import binary_cross_entropy, softmax_cross_entropy
-from repro.ml.optim import SGD
-from repro.ml.models import MLPClassifier
-from repro.ml.data import (
-    Dataset,
-    make_blobs_classification,
-    make_text_sentiment,
-    partition_dirichlet,
-    partition_iid,
-)
-from repro.ml.training import LocalTrainer, accuracy
-from repro.ml.fedprox import FedProxTrainer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ml.layers import Dense, Dropout, Layer, ReLU, Sequential, Tanh
+    from repro.ml.losses import binary_cross_entropy, softmax_cross_entropy
+    from repro.ml.optim import SGD
+    from repro.ml.models import MLPClassifier
+    from repro.ml.data import (
+        Dataset,
+        make_blobs_classification,
+        make_text_sentiment,
+        partition_dirichlet,
+        partition_iid,
+    )
+    from repro.ml.training import LocalTrainer, accuracy
+    from repro.ml.fedprox import FedProxTrainer
 
 __all__ = [
     "Dataset",
@@ -44,3 +49,5 @@ __all__ = [
     "partition_iid",
     "softmax_cross_entropy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

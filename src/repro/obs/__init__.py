@@ -24,43 +24,43 @@ Typical use::
 Event kinds and metric names are documented in ``docs/observability.md``.
 """
 
-import importlib
 from typing import TYPE_CHECKING
 
-from repro.obs.columnar import (
-    COLUMNAR_FORMAT,
-    COLUMNAR_VERSION,
-    ColumnarTraceWriter,
-    iter_columnar,
-    iter_trace_events,
-    read_trace_events,
-    sniff_format,
-    write_columnar,
-)
-from repro.obs.events import (
-    TRACE_FORMAT_VERSION,
-    Event,
-    EventLog,
-    events_between,
-    read_jsonl,
-)
-from repro.obs.metrics import Histogram, Metrics, Timer
-from repro.obs.runtime import (
-    ObsSession,
-    count,
-    current,
-    disable,
-    emit,
-    enable,
-    enabled,
-    gauge,
-    observe,
-    session,
-    suspended,
-    timer,
-)
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.obs.columnar import (
+        COLUMNAR_FORMAT,
+        COLUMNAR_VERSION,
+        ColumnarTraceWriter,
+        iter_columnar,
+        iter_trace_events,
+        read_trace_events,
+        sniff_format,
+        write_columnar,
+    )
+    from repro.obs.events import (
+        TRACE_FORMAT_VERSION,
+        Event,
+        EventLog,
+        events_between,
+        read_jsonl,
+    )
+    from repro.obs.metrics import Histogram, Metrics, Timer
+    from repro.obs.runtime import (
+        ObsSession,
+        count,
+        current,
+        disable,
+        emit,
+        enable,
+        enabled,
+        gauge,
+        observe,
+        session,
+        suspended,
+        timer,
+    )
     from repro.obs.trace import (
         CampaignTrace,
         MBORunTrace,
@@ -74,25 +74,6 @@ if TYPE_CHECKING:
         replay_campaigns,
         tab3_payload_from_trace,
     )
-
-#: Trace-replay names, served lazily (PEP 562) from :mod:`repro.obs.trace`.
-#: It renders through :mod:`repro.analysis`, whose metrics import the
-#: hardware layer, which itself emits through ``repro.obs``: an eager
-#: import here would be a cycle, and would load the analysis stack into
-#: every process that only records events.
-_TRACE_EXPORTS = (
-    "CampaignTrace",
-    "MBORunTrace",
-    "RoundTrace",
-    "derive_overhead_fractions",
-    "derive_tab3_counts",
-    "fig13_payload_from_trace",
-    "find_campaign",
-    "render_summary",
-    "render_view",
-    "replay_campaigns",
-    "tab3_payload_from_trace",
-)
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -136,8 +117,4 @@ __all__ = [
     "timer",
 ]
 
-
-def __getattr__(name: str) -> object:
-    if name in _TRACE_EXPORTS:
-        return getattr(importlib.import_module("repro.obs.trace"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -16,38 +16,42 @@ driver, and the determinism contract.
 
 Import layering: ``controllers`` depends only on the error types, so the
 federation engine and fleet layers may import it freely.  ``pbt`` sits
-*above* the fleet layer; it is exposed lazily (PEP 562) to keep
-``repro.sim.fleet -> repro.servertune.controllers`` acyclic.
+*above* the fleet layer; like every package here, this one re-exports
+lazily (:mod:`repro._lazy`), so ``repro.sim.fleet ->
+repro.servertune.controllers`` stays acyclic.
 """
 
-from repro.servertune.controllers import (
-    DEFAULT_KNOBS,
-    SERVERTUNE_CONTROLLERS,
-    FedGPOController,
-    FedTuneController,
-    RoundFeedback,
-    ServerController,
-    ServerKnobs,
-    ServerTuneSpec,
-    StaticKnobs,
-    make_server_controller,
-    normalize_servertune,
-)
+from typing import TYPE_CHECKING
 
-#: Names served lazily from :mod:`repro.servertune.pbt` (PEP 562).
-_PBT_EXPORTS = (
-    "MemberRecord",
-    "PBTResult",
-    "PBTSpec",
-    "PBTState",
-    "PBT_CONTROLLERS",
-    "SEARCH_SPACE",
-    "evolve",
-    "init_population",
-    "pareto_front",
-    "render_frontier_artifact",
-    "run_pbt",
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.servertune.controllers import (
+        DEFAULT_KNOBS,
+        SERVERTUNE_CONTROLLERS,
+        FedGPOController,
+        FedTuneController,
+        RoundFeedback,
+        ServerController,
+        ServerKnobs,
+        ServerTuneSpec,
+        StaticKnobs,
+        make_server_controller,
+        normalize_servertune,
+    )
+    from repro.servertune.pbt import (
+        PBT_CONTROLLERS,
+        SEARCH_SPACE,
+        MemberRecord,
+        PBTResult,
+        PBTSpec,
+        PBTState,
+        evolve,
+        init_population,
+        pareto_front,
+        render_frontier_artifact,
+        run_pbt,
+    )
 
 __all__ = [
     "DEFAULT_KNOBS",
@@ -61,13 +65,17 @@ __all__ = [
     "StaticKnobs",
     "make_server_controller",
     "normalize_servertune",
-    *_PBT_EXPORTS,
+    "MemberRecord",
+    "PBTResult",
+    "PBTSpec",
+    "PBTState",
+    "PBT_CONTROLLERS",
+    "SEARCH_SPACE",
+    "evolve",
+    "init_population",
+    "pareto_front",
+    "render_frontier_artifact",
+    "run_pbt",
 ]
 
-
-def __getattr__(name: str) -> object:
-    if name in _PBT_EXPORTS:
-        from repro.servertune import pbt
-
-        return getattr(pbt, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__)

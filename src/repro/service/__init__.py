@@ -8,36 +8,41 @@ graceful degradation, with a deterministic load-generation harness that
 replays fleet traces as traffic and reports p50/p99 decision latency.
 """
 
-from repro.service.api import (
-    DECISION_SCHEMA_VERSION,
-    Decision,
-    DecisionPlan,
-    DecisionRequest,
-    PlanStep,
-    request_key_hash,
-)
-from repro.service.archetypes import (
-    ArchetypeProfile,
-    clear_profile_cache,
-    get_profile,
-    plan_or_fallback,
-)
-from repro.service.cache import DecisionCache, DecisionCacheStats
-from repro.service.engine import (
-    PaceDecisionService,
-    ServiceConfig,
-    ServiceCostModel,
-    ServiceStats,
-)
-from repro.service.loadgen import (
-    LoadTestReport,
-    PassStats,
-    TimedRequest,
-    fleet_requests,
-    quantile,
-    run_loadtest,
-    service_report_from_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.api import (
+        DECISION_SCHEMA_VERSION,
+        Decision,
+        DecisionPlan,
+        DecisionRequest,
+        PlanStep,
+        request_key_hash,
+    )
+    from repro.service.archetypes import (
+        ArchetypeProfile,
+        clear_profile_cache,
+        get_profile,
+        plan_or_fallback,
+    )
+    from repro.service.cache import DecisionCache, DecisionCacheStats
+    from repro.service.engine import (
+        PaceDecisionService,
+        ServiceConfig,
+        ServiceCostModel,
+        ServiceStats,
+    )
+    from repro.service.loadgen import (
+        LoadTestReport,
+        PassStats,
+        TimedRequest,
+        fleet_requests,
+        quantile,
+        run_loadtest,
+        service_report_from_trace,
+    )
 
 __all__ = [
     "DECISION_SCHEMA_VERSION",
@@ -64,3 +69,5 @@ __all__ = [
     "run_loadtest",
     "service_report_from_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -10,53 +10,58 @@ in-process so benchmark modules can share campaigns; a durable
 processes with results identical to the serial path.
 """
 
-from repro.sim.chaos import (
-    CHAOS_PRESETS,
-    ChaosRunResult,
-    chaos_report_from_trace,
-    preset_schedule,
-    run_chaos,
-)
-from repro.sim.cache import (
-    CACHE_DIR_ENV,
-    CACHE_SCHEMA_VERSION,
-    CacheStats,
-    PersistentCampaignCache,
-    cache_key_hash,
-    default_cache_dir,
-)
-from repro.sim.executor import (
-    CampaignExecutor,
-    CampaignSpec,
-    CampaignTiming,
-    ExecutionReport,
-    execute_campaigns,
-    expand_grid,
-    resolve_workers,
-)
-from repro.sim.fleet import (
-    FLEET_SELECTORS,
-    FleetSpec,
-    build_fleet_clients,
-    campaign_spec_for,
-    compose_fleet,
-    fleet_summary,
-    prepare_fleet,
-    render_fleet_summary,
-    run_fleet,
-)
-from repro.sim.mbo_cost import MBOCostModel
-from repro.sim.runner import (
-    CONTROLLER_NAMES,
-    campaign_key,
-    clear_campaign_cache,
-    get_persistent_cache,
-    install_persistent_cache,
-    make_controller,
-    prime_campaign_cache,
-    run_campaign,
-)
-from repro.sim.sweep import SummaryStat, SweepResult, sweep_campaign
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.chaos import (
+        CHAOS_PRESETS,
+        ChaosRunResult,
+        chaos_report_from_trace,
+        preset_schedule,
+        run_chaos,
+    )
+    from repro.sim.cache import (
+        CACHE_DIR_ENV,
+        CACHE_SCHEMA_VERSION,
+        CacheStats,
+        PersistentCampaignCache,
+        cache_key_hash,
+        default_cache_dir,
+    )
+    from repro.sim.executor import (
+        CampaignExecutor,
+        CampaignSpec,
+        CampaignTiming,
+        ExecutionReport,
+        execute_campaigns,
+        expand_grid,
+        resolve_workers,
+    )
+    from repro.sim.fleet import (
+        FLEET_SELECTORS,
+        FleetSpec,
+        build_fleet_clients,
+        campaign_spec_for,
+        compose_fleet,
+        fleet_summary,
+        prepare_fleet,
+        render_fleet_summary,
+        run_fleet,
+    )
+    from repro.sim.mbo_cost import MBOCostModel
+    from repro.sim.runner import (
+        CONTROLLER_NAMES,
+        campaign_key,
+        clear_campaign_cache,
+        get_persistent_cache,
+        install_persistent_cache,
+        make_controller,
+        prime_campaign_cache,
+        run_campaign,
+    )
+    from repro.sim.sweep import SummaryStat, SweepResult, sweep_campaign
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -99,3 +104,5 @@ __all__ = [
     "run_chaos",
     "sweep_campaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

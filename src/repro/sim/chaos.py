@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.analysis.tables import ascii_table, render_kv
 from repro.core.records import CampaignResult
@@ -27,7 +27,9 @@ from repro.faults.metrics import ResilienceMetrics
 from repro.faults.recovery import NO_RECOVERY, RecoveryPolicy
 from repro.faults.schedule import FAULT_KINDS, FaultSchedule
 from repro.obs.events import Event, read_jsonl
-from repro.sim.executor import CampaignExecutor, CampaignSpec
+
+if TYPE_CHECKING:
+    from repro.sim.executor import CampaignExecutor
 
 #: Named fault mixes for ``repro chaos run --preset``.  Each preset is the
 #: tuple of kinds :meth:`FaultSchedule.generate` cycles through.
@@ -137,6 +139,8 @@ def run_chaos(
     campaigns go through ``executor`` (default: a serial one), so
     ``--workers`` parallelism and cache layering apply unchanged.
     """
+    from repro.sim.executor import CampaignExecutor, CampaignSpec
+
     if schedule is None:
         schedule = preset_schedule(preset, seed, rounds, n_faults=n_faults)
     if policy is None:

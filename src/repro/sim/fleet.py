@@ -36,7 +36,7 @@ import math
 import pathlib
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.federated.aggregation import FedAvg
@@ -60,8 +60,10 @@ from repro.servertune.controllers import (
     make_server_controller,
     normalize_servertune,
 )
-from repro.sim.cache import PersistentCampaignCache
-from repro.sim.executor import CampaignExecutor, CampaignSpec, ProgressCallback
+
+if TYPE_CHECKING:
+    from repro.sim.cache import PersistentCampaignCache
+    from repro.sim.executor import CampaignSpec, ProgressCallback
 
 #: Default heterogeneous population: both testbed boards, all three paper
 #: tasks, BoFL pacing against the Performant baseline.
@@ -275,6 +277,8 @@ def campaign_spec_for(client: FleetClient, spec: FleetSpec) -> CampaignSpec:
     deadline budget, so a tuned fleet must never reuse a static fleet's
     traces (or vice versa).
     """
+    from repro.sim.executor import CampaignSpec
+
     return CampaignSpec(
         device=client.device,
         task=client.task,
@@ -320,6 +324,8 @@ def prepare_fleet(
     events depend on worker count and cache state, the composition does
     not.
     """
+    from repro.sim.executor import CampaignExecutor
+
     clients = build_fleet_clients(spec)
     specs = [campaign_spec_for(client, spec) for client in clients]
     _warm_objective_tensors(specs)

@@ -17,14 +17,7 @@ from typing import Optional, Protocol
 from repro.core.config import BoFLConfig
 from repro.core.base import PaceController
 from repro.core.records import CampaignResult, ChaosSummary
-from repro.baselines import (
-    LinearPaceController,
-    OndemandGovernorController,
-    OracleController,
-    PerformantController,
-)
 from repro.errors import ConfigurationError
-from repro.faults.engine import ChaosRoundEngine
 from repro.faults.recovery import RecoveryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.federated.deadlines import UniformDeadlines
@@ -172,15 +165,19 @@ def make_controller(
 ) -> PaceController:
     """Instantiate a controller by name, bound to ``device``."""
     mbo_cost = MBOCostModel(device.spec) if with_mbo_cost else None
-    # The MBO controllers import scipy: load them only when one is built.
+    # Each branch loads only its own controller (the MBO ones import scipy).
     if name == "bofl":
         from repro.core.controller import BoFLController
 
         config = bofl_config if bofl_config is not None else BoFLConfig(seed=seed)
         return BoFLController(device, config, mbo_cost=mbo_cost)
     if name == "performant":
+        from repro.baselines.performant import PerformantController
+
         return PerformantController(device)
     if name == "oracle":
+        from repro.baselines.oracle import OracleController
+
         return OracleController(device)
     if name == "random_search":
         from repro.baselines.random_only import RandomSearchController
@@ -188,8 +185,12 @@ def make_controller(
         config = bofl_config if bofl_config is not None else BoFLConfig(seed=seed)
         return RandomSearchController(device, config, mbo_cost=mbo_cost)
     if name == "linear_pace":
+        from repro.baselines.linear_pace import LinearPaceController
+
         return LinearPaceController(device)
     if name == "ondemand":
+        from repro.baselines.governor import OndemandGovernorController
+
         return OndemandGovernorController(device)
     raise ConfigurationError(
         f"unknown controller {name!r}; available: {', '.join(CONTROLLER_NAMES)}"
@@ -310,8 +311,10 @@ def run_campaign(
         seed=int(seed),
         jobs_per_round=jobs,
     )
-    engine: Optional[ChaosRoundEngine] = None
+    engine = None
     if fault_schedule is not None and recovery_policy is not None:
+        from repro.faults.engine import ChaosRoundEngine
+
         obs.emit(
             "chaos.schedule",
             t=device.clock.now,
@@ -405,6 +408,7 @@ def run_campaign(
 
 def _annotate(result: CampaignResult, controller: PaceController) -> None:
     """Fill retrospective fields (final front, Table 3 Pareto counts)."""
+    from repro.baselines.oracle import OracleController
     from repro.core.controller import BoFLController
 
     if isinstance(controller, BoFLController):

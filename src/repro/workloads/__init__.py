@@ -12,16 +12,21 @@ analytic performance model to the paper's measured numbers (Table 2 round
 latencies and Figs. 9-11 energy levels).
 """
 
-from repro.workloads.base import WorkloadProfile
-from repro.workloads.zoo import (
-    available_workloads,
-    bert_tiny,
-    get_workload,
-    lstm,
-    mobilenet_v2,
-    resnet50,
-    vit,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadProfile
+    from repro.workloads.zoo import (
+        available_workloads,
+        bert_tiny,
+        get_workload,
+        lstm,
+        mobilenet_v2,
+        resnet50,
+        vit,
+    )
 
 __all__ = [
     "WorkloadProfile",
@@ -33,3 +38,5 @@ __all__ = [
     "resnet50",
     "vit",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

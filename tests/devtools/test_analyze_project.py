@@ -117,6 +117,41 @@ class TestCallGraph:
         graph = CallGraph.build(project)
         assert graph.edges["repro.pkg.outer.caller"] == ("repro.pkg.inner.leaf",)
 
+    def test_package_reexports_resolve_to_edges(self, make_tree):
+        root = make_tree({
+            "src/repro/sim/__init__.py": """\
+                from typing import TYPE_CHECKING
+
+                if TYPE_CHECKING:
+                    from repro.sim.runner import Oracle, run_campaign
+
+                __all__ = ["Oracle", "run_campaign"]
+            """,
+            "src/repro/sim/runner.py": """\
+                class Oracle:
+                    def __init__(self):
+                        self.front = []
+
+                def run_campaign():
+                    return Oracle()
+            """,
+            "src/repro/cli.py": """\
+                from repro import sim
+                from repro.sim import Oracle
+
+                def main():
+                    from repro.sim import run_campaign
+
+                    return run_campaign(), sim.run_campaign(), Oracle()
+            """,
+        })
+        project = ProjectIndex.load([root / "src"], root)
+        graph = CallGraph.build(project)
+        assert graph.edges["repro.cli.main"] == (
+            "repro.sim.runner.Oracle.__init__",
+            "repro.sim.runner.run_campaign",
+        )
+
     def test_reachability_with_witness_chain(self, make_tree):
         root = make_tree({
             "src/repro/m.py": """\
@@ -164,3 +199,15 @@ class TestCallGraph:
         # The annotated-parameter hop: _compute_spec(spec: CampaignSpec)
         # -> CampaignSpec.run -> run_campaign.
         assert "repro.sim.runner.run_campaign" in parents
+
+    def test_real_tree_calls_through_packages_resolve(self):
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        project = ProjectIndex.load([repo / "src" / "repro"], repo)
+        graph = CallGraph.build(project)
+        assert "repro.sim.fleet.prepare_fleet" in graph.edges["repro.cli._cmd_fleet"]
+        assert "repro.baselines.oracle.OracleController.__init__" in (
+            graph.edges["repro.sim.runner.make_controller"]
+        )
+        # ``obs.render_view`` reaches ``repro.obs.trace`` only through the
+        # package's declared re-exports.
+        assert "repro.obs.trace.render_view" in graph.edges["repro.cli._cmd_trace"]

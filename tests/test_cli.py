@@ -202,7 +202,7 @@ class TestFleetCommand:
         CLI must refuse before gathering (possibly 100k clients') traces."""
         prepared = []
         monkeypatch.setattr(
-            "repro.cli.prepare_fleet", lambda spec, **kw: prepared.append(spec)
+            "repro.sim.fleet.prepare_fleet", lambda spec, **kw: prepared.append(spec)
         )
         code = main(
             ["fleet", "run", *self.FAST, "--mode", "async",

@@ -4,6 +4,11 @@ Every module must import on its own, whatever was imported before it,
 and the service, fleet, ILP, hardware and tooling entry points must not
 load scipy: only the GP stack (``bayesopt.gp``, ``bayesopt.acquisition``)
 needs it.
+
+A run loads only the layers it uses: importing a package loads none of
+its submodules (re-exports are lazy, see ``repro._lazy``), and the
+closures below pin the layers that the paper's campaign grid, the
+decision service and ``import repro.cli`` must never load.
 """
 
 import json
@@ -52,6 +57,72 @@ importlib.import_module(sys.argv[1])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+_REPRO_LOADED = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+"""
+
+#: What importing a package may load besides the package and its parents.
+PACKAGE_IMPORT_BASE = {"repro", "repro._version", "repro._lazy"}
+
+#: What the paper's grid (BoFL, Performant, Oracle on one board) never runs.
+GRID_UNUSED = (
+    "repro.federated.async_engine",
+    "repro.federated.vector_engine",
+    "repro.service.engine",
+    "repro.service.loadgen",
+    "repro.sim.fleet",
+    "repro.sim.executor",
+    "repro.sim.chaos",
+    "repro.sim.cache",
+    "repro.faults.engine",
+    "repro.faults.injectors",
+    "repro.obs.columnar",
+    "repro.servertune.pbt",
+)
+
+#: What a fleet request stream served by the decision service never runs.
+SERVICE_UNUSED = (
+    "repro.core.controller",
+    "repro.bayesopt.gp",
+    "repro.sim.executor",
+    "repro.sim.runner",
+    "repro.sim.cache",
+    "repro.sim.chaos",
+    "repro.faults.engine",
+    "repro.federated.vector_engine",
+)
+
+#: Engines the CLI imports only inside the handlers that run them.
+CLI_UNUSED = (
+    "repro.sim.executor",
+    "repro.sim.fleet",
+    "repro.service.engine",
+    "repro.federated.async_engine",
+)
+
+_GRID_RUN = """
+import repro.service.archetypes  # what the benchmark grid's set-up touches
+from repro.sim.runner import run_campaign
+for device, task in (("agx", "vit"), ("tx2", "lstm")):
+    for controller in ("bofl", "performant", "oracle"):
+        run_campaign(device, task, controller, 2.0, rounds=12, seed=0, use_cache=False)
+"""
+
+_SERVICE_RUN = """
+from repro.service.engine import PaceDecisionService, ServiceConfig
+from repro.service.loadgen import fleet_requests
+from repro.sim.fleet import FleetSpec
+stream = fleet_requests(FleetSpec(n_clients=12, rounds=2, seed=0), 1000.0)
+service = PaceDecisionService(ServiceConfig())
+for timed in stream:
+    service.submit(timed.request, at=timed.offset)
+service.drain()
+service.close()
+assert len(service.decisions) == len(stream) > 0
+"""
+
 
 def _python(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SOURCE_ROOT)}
@@ -72,6 +143,24 @@ def _all_modules() -> list[str]:
     return names
 
 
+def _packages() -> list[str]:
+    return [
+        ".".join(path.parent.relative_to(SOURCE_ROOT).parts)
+        for path in sorted((SOURCE_ROOT / "repro").rglob("__init__.py"))
+    ]
+
+
+def _repro_loaded(code: str) -> set[str]:
+    return set(json.loads(_python(_REPRO_LOADED, code)))
+
+
+def _unexpected(loaded: set[str], unused: tuple[str, ...], *layers: str) -> list[str]:
+    return sorted(
+        m for m in loaded
+        if m in unused or any(m == layer or m.startswith(layer + ".") for layer in layers)
+    )
+
+
 def test_every_module_imports_on_its_own():
     modules = _all_modules()
     assert "repro.bayesopt.gp" in modules and "repro.cli" in modules
@@ -88,3 +177,29 @@ def test_controller_import_loads_no_scipy_stats():
     loaded = json.loads(_python(_SCIPY_LOADED, "repro.core.controller"))
     assert "scipy.linalg" in loaded  # the GP's own imports are seen
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_package_import_loads_no_submodule(package):
+    parents = {".".join(package.split(".")[:i]) for i in range(1, package.count(".") + 2)}
+    loaded = _repro_loaded(f"import {package}")
+    assert loaded - parents - PACKAGE_IMPORT_BASE == set()
+
+
+def test_campaign_grid_loads_only_its_layers():
+    loaded = _repro_loaded(_GRID_RUN)
+    assert "repro.core.controller" in loaded and "repro.baselines.oracle" in loaded
+    assert _unexpected(loaded, GRID_UNUSED, "repro.ml", "repro.analysis") == []
+
+
+def test_decision_service_loads_only_its_layers():
+    loaded = _repro_loaded(_SERVICE_RUN)
+    assert "repro.service.engine" in loaded and "repro.ilp.schedule" in loaded
+    assert _unexpected(
+        loaded, SERVICE_UNUSED, "repro.baselines", "repro.ml", "repro.analysis"
+    ) == []
+
+
+def test_cli_import_loads_no_engine():
+    loaded = _repro_loaded("import repro.cli")
+    assert [m for m in CLI_UNUSED if m in loaded] == []

@@ -1,10 +1,16 @@
 """The package's public surface: imports, __all__, quick_campaign."""
 
 import importlib
+import pkgutil
 
 import pytest
 
 import repro
+
+#: Every package under ``repro``, found by walking its path.
+SUBPACKAGES = sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+)
 
 
 class TestTopLevel:
@@ -20,27 +26,13 @@ class TestTopLevel:
         assert result.rounds == 2
         assert result.training_energy > 0
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.hardware",
-            "repro.workloads",
-            "repro.bayesopt",
-            "repro.ilp",
-            "repro.ml",
-            "repro.federated",
-            "repro.core",
-            "repro.baselines",
-            "repro.sim",
-            "repro.service",
-            "repro.analysis",
-            "repro.experiments",
-        ],
-    )
+    @pytest.mark.parametrize("module", SUBPACKAGES)
     def test_subpackage_alls_resolve(self, module):
         mod = importlib.import_module(module)
         assert mod.__doc__, f"{module} has no module docstring"
+        listed = set(dir(mod))
         for name in getattr(mod, "__all__", []):
+            assert name in listed, f"{module}.{name} missing from dir()"
             assert hasattr(mod, name), f"{module}.{name}"
 
 
