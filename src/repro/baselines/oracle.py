@@ -37,10 +37,9 @@ class OracleController(PaceController):
         latencies, energies = device.model.profile_space()
         values = np.stack([latencies, energies], axis=1)
         mask = pareto_mask(values)
-        all_configs = device.space.all_configurations()
-        self.pareto_configs: list[DvfsConfiguration] = [
-            c for c, keep in zip(all_configs, mask) if keep
-        ]
+        self.pareto_configs: list[DvfsConfiguration] = device.space.configurations_at(
+            np.flatnonzero(mask)
+        )
         self.pareto_values = values[mask]
         self._x_max = device.space.max_configuration()
 

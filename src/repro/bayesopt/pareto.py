@@ -49,22 +49,27 @@ def pareto_mask(points: np.ndarray) -> np.ndarray:
 
 
 def _pareto_mask_2d(points: np.ndarray) -> np.ndarray:
-    """Sweep-based non-dominated mask for two objectives."""
+    """Sweep-based non-dominated mask for two objectives, in array form.
+
+    Sorted by first objective ascending, ties by second ascending, any
+    dominator of a point comes before it.  A point is kept when its second
+    objective beats the best seen so far (the running minimum before it,
+    ``inf`` at the start, NaNs skipped), or when it exactly duplicates the
+    point that set that best: duplicates are mutually non-dominating.
+    """
     n = points.shape[0]
-    # Sort by first objective ascending, ties broken by second ascending, so
-    # that any dominator of a point appears before it in the sweep.
     order = np.lexsort((points[:, 1], points[:, 0]))
+    y1 = points[order, 0]
+    y2 = points[order, 1]
+    best = np.fmin.accumulate(np.concatenate(([np.inf], y2[:-1])))
+    improves = y2 < best
+    # The point that set each position's best: the last improver before it.
+    setter = np.maximum.accumulate(np.where(improves, np.arange(n), -1))
+    setter = np.concatenate(([-1], setter[:-1]))
+    best_y1 = np.where(setter >= 0, y1[setter], np.inf)
+    keep = improves | ((y2 == best) & (y1 == best_y1))
     mask = np.zeros(n, dtype=bool)
-    best_y2 = np.inf
-    best_y1_at = np.inf
-    for idx in order:
-        y1, y2 = points[idx]
-        if y2 < best_y2:
-            best_y2, best_y1_at = y2, y1
-            mask[idx] = True
-        elif y2 == best_y2 and y1 == best_y1_at:
-            # exact duplicate of the current best: mutually non-dominating.
-            mask[idx] = True
+    mask[order] = keep
     return mask
 
 

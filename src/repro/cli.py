@@ -605,7 +605,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
     from repro.service.api import DecisionRequest
     from repro.service.engine import PaceDecisionService
+    from repro.types import require_positive
 
+    require_positive("rate", args.rate)
     if args.file:
         lines = pathlib.Path(args.file).read_text().splitlines()
     else:
@@ -615,7 +617,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         if not line.strip():
             continue
         try:
-            requests.append(DecisionRequest.from_dict(_json.loads(line)))
+            requests.append((lineno, DecisionRequest.from_dict(_json.loads(line))))
         except Exception as error:
             raise ConfigurationError(f"request line {lineno}: {error}") from error
     if not requests:
@@ -623,8 +625,11 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
     def _replay() -> PaceDecisionService:
         service = PaceDecisionService(_service_config(args))
-        for index, request in enumerate(requests):
-            service.submit(request, at=index / args.rate)
+        for index, (lineno, request) in enumerate(requests):
+            try:
+                service.submit(request, at=index / args.rate)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"request line {lineno}: {error}") from error
         service.close()
         return service
 

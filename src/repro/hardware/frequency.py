@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -113,6 +113,27 @@ class FrequencyTable:
         return self.nearest(self.min + value * (self.max - self.min))
 
 
+class _SharedSpace:
+    """The enumeration of one distinct (cpu, gpu, mem) table triple."""
+
+    def __init__(self, key: tuple[tuple[GHz, ...], ...]) -> None:
+        self.key = key
+        axes = np.meshgrid(*key, indexing="ij")
+        coords = np.stack([axis.ravel() for axis in axes], axis=1)
+        coords.setflags(write=False)
+        #: ``(n, 3)`` GHz coordinates in (cpu, gpu, mem)-major order.
+        self.coords = coords
+        #: The same points as configuration objects, built on first use.
+        self.configs: Optional[list[DvfsConfiguration]] = None
+
+
+#: Process-wide enumeration cache, keyed by the table *values* like
+#: :mod:`repro.hardware.perfmodel`'s tensor cache: every space built from
+#: the same tables (each ``get_device("agx")`` call makes a new one)
+#: shares one read-only coordinate array and one configuration list.
+_SPACE_CACHE: dict[tuple[tuple[GHz, ...], ...], _SharedSpace] = {}
+
+
 class ConfigurationSpace:
     """The joint discrete DVFS space ``X = F_CPU x F_GPU x F_MC``.
 
@@ -130,7 +151,11 @@ class ConfigurationSpace:
         self.cpu = cpu
         self.gpu = gpu
         self.mem = mem
-        self._configs: Optional[list[DvfsConfiguration]] = None
+        key = (cpu.frequencies, gpu.frequencies, mem.frequencies)
+        shared = _SPACE_CACHE.get(key)
+        if shared is None:
+            shared = _SPACE_CACHE[key] = _SharedSpace(key)
+        self._shared = shared
 
     @property
     def tables(self) -> tuple[FrequencyTable, FrequencyTable, FrequencyTable]:
@@ -154,16 +179,27 @@ class ConfigurationSpace:
     def all_configurations(self) -> list[DvfsConfiguration]:
         """Return every configuration, in (cpu, gpu, mem)-major order.
 
-        The list is built once and cached; callers must not mutate it.
+        The list is built on the first call and shared process-wide by
+        every space with the same tables (keyed by value, like the
+        objective tensor); callers must not mutate it.
         """
-        if self._configs is None:
-            self._configs = [
-                DvfsConfiguration(c, g, m)
-                for c, g, m in itertools.product(
-                    self.cpu.frequencies, self.gpu.frequencies, self.mem.frequencies
-                )
+        shared = self._shared
+        if shared.configs is None:
+            shared.configs = [
+                DvfsConfiguration(c, g, m) for c, g, m in itertools.product(*shared.key)
             ]
-        return self._configs
+        return shared.configs
+
+    def configurations_at(
+        self, indices: Union[Sequence[int], np.ndarray]
+    ) -> list[DvfsConfiguration]:
+        """The configurations at the given flat indices, in that order.
+
+        Builds only the requested points, so a caller that needs a few
+        dozen of them never materializes :meth:`all_configurations`.
+        """
+        rows = self._shared.coords[np.asarray(indices, dtype=int)].tolist()
+        return [DvfsConfiguration(c, g, m) for c, g, m in rows]
 
     def at(self, cpu_idx: int, gpu_idx: int, mem_idx: int) -> DvfsConfiguration:
         """Return the configuration at the given per-axis step indices."""
@@ -231,5 +267,11 @@ class ConfigurationSpace:
         )
 
     def as_array(self) -> np.ndarray:
-        """Return all configurations as an ``(n, 3)`` GHz array."""
-        return np.array([c.as_tuple() for c in self.all_configurations()])
+        """Return all configurations as an ``(n, 3)`` GHz array.
+
+        Row ``i`` is ``all_configurations()[i]``.  The array is built
+        straight from the tables, shared process-wide by every space with
+        the same tables (keyed by value, like the objective tensor) and
+        read-only; no configuration object is created.
+        """
+        return self._shared.coords

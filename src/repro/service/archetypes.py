@@ -120,7 +120,10 @@ class ArchetypeProfile:
         The same construction as the Oracle baseline — whole-space
         ``T(x)/E(x)`` tensor, Pareto mask, plus ``x_max`` guaranteed in
         the pool so the ILP stays feasible whenever the deadline is
-        meetable at all.
+        meetable at all.  Candidates are taken by flat index, so only the
+        kept points become configuration objects.  ``x_max`` is the last
+        index (every unit at its top clock); when it is dominated it is
+        appended, so it is always the last candidate.
         """
         spec = get_device(device)
         task_spec = task_by_name(task)
@@ -128,24 +131,21 @@ class ArchetypeProfile:
         tensor = model.objective_tensor()
         values = np.stack([tensor.latencies, tensor.energies], axis=1)
         mask = pareto_mask(values)
-        all_configs = spec.space.all_configurations()
-        configs = [c for c, keep in zip(all_configs, mask) if keep]
-        kept = values[mask]
-        x_max = spec.space.max_configuration()
-        if x_max not in configs:
-            index = all_configs.index(x_max)
-            configs.append(x_max)
-            kept = np.vstack([kept, values[index]])
-        anchor = configs.index(x_max)
+        indices = np.flatnonzero(mask)
+        x_max_index = len(values) - 1
+        if not mask[x_max_index]:
+            indices = np.append(indices, x_max_index)
+        kept = values[indices]
+        configs = tuple(spec.space.configurations_at(indices))
         return cls(
             device=device,
             task=task,
-            configs=tuple(configs),
+            configs=configs,
             latencies=kept[:, 0].copy(),
             energies=kept[:, 1].copy(),
-            x_max=x_max,
-            t_xmax=float(kept[anchor, 0]),
-            e_xmax=float(kept[anchor, 1]),
+            x_max=configs[-1],
+            t_xmax=float(kept[-1, 0]),
+            e_xmax=float(kept[-1, 1]),
             jobs_per_round=task_spec.jobs_per_round(spec),
         )
 

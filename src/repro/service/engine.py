@@ -30,12 +30,13 @@ the load generator around the whole replay, through ``repro.obs`` timers.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.clock import SimulationClock
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs import runtime as obs
 from repro.service.api import (
     Decision,
@@ -175,6 +176,8 @@ class PaceDecisionService:
         self._resolve_profile: ProfileResolver = (
             profiles if profiles is not None else get_profile
         )
+        #: Every archetype submitted so far, resolved once at its first submit.
+        self._profiles: dict[tuple[str, str], ArchetypeProfile] = {}
         self.cache = DecisionCache(self.config.cache_entries)
         self._pending: "OrderedDict[str, _Pending]" = OrderedDict()
         self._warm_archetypes: set[tuple[str, str]] = set()
@@ -204,16 +207,23 @@ class PaceDecisionService:
     def submit(self, request: DecisionRequest, at: Optional[Seconds] = None) -> None:
         """Enqueue one request arriving at simulated time ``at``.
 
-        Arrivals must be nondecreasing (the load generator submits in
-        time order); ``at=None`` means "now".  The call first settles
-        every evaluation that completes before ``at``, so coalescing only
-        joins entries that are genuinely still queued or in flight.
+        Arrivals must be finite and nondecreasing (the load generator
+        submits in time order); ``at=None`` means "now".  A request for a
+        device or task that has no profile raises
+        :class:`~repro.errors.ConfigurationError` here, before the clock,
+        the counters or the queue change, so the service keeps answering
+        later requests.  The call first settles every evaluation that
+        completes before ``at``, so coalescing only joins entries that are
+        genuinely still queued or in flight.
         """
         arrival = self.clock.now if at is None else float(at)
+        if not math.isfinite(arrival):
+            raise ConfigurationError(f"arrival time must be finite, got {arrival}")
         if arrival < self._last_arrival:
             raise ConfigurationError(
                 f"arrivals must be nondecreasing: {arrival} after {self._last_arrival}"
             )
+        self._profile(request)
         self._last_arrival = arrival
         self._settle(arrival)
         self.clock.advance_to(arrival)
@@ -294,6 +304,21 @@ class PaceDecisionService:
 
     # -- queue machinery ----------------------------------------------------
 
+    def _profile(self, request: DecisionRequest) -> ArchetypeProfile:
+        """The request's archetype profile, resolved on its first submit."""
+        archetype = (request.device, request.task)
+        profile = self._profiles.get(archetype)
+        if profile is None:
+            try:
+                profile = self._resolve_profile(*archetype)
+            except ReproError as error:
+                raise ConfigurationError(
+                    f"no profile for device {request.device!r}, "
+                    f"task {request.task!r}: {error}"
+                ) from error
+            self._profiles[archetype] = profile
+        return profile
+
     def _settle(self, until: Optional[Seconds]) -> None:
         """Finalize FIFO entries whose evaluation completes by ``until``.
 
@@ -351,9 +376,8 @@ class PaceDecisionService:
         cached = self.cache.peek(leader)
         if cached is not None:
             return cached.with_source("cache"), False, 0, self.config.costs.hit
-        archetype = (leader.device, leader.task)
-        cold = archetype not in self._warm_archetypes
-        profile = self._resolve_profile(*archetype)
+        cold = (leader.device, leader.task) not in self._warm_archetypes
+        profile = self._profile(leader)
         schedule, fell_back = plan_or_fallback(
             profile, leader.jobs, leader.deadline, leader.safety_margin
         )
@@ -444,8 +468,7 @@ class PaceDecisionService:
         if cached is not None:
             plan = cached.with_source("cache")
         else:
-            profile = self._resolve_profile(request.device, request.task)
-            schedule = profile.fallback_plan(request.jobs)
+            schedule = self._profile(request).fallback_plan(request.jobs)
             plan = DecisionPlan.from_schedule(
                 request_key_hash(request), schedule, "fallback"
             )

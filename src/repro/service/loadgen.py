@@ -40,7 +40,7 @@ from repro.service.api import Decision, DecisionRequest
 from repro.service.archetypes import get_profile
 from repro.service.engine import PaceDecisionService, ServiceConfig, ServiceStats
 from repro.sim.fleet import FleetSpec, build_fleet_clients
-from repro.types import Seconds
+from repro.types import Seconds, require_positive
 
 
 def quantile(values: list[float], q: float) -> float:
@@ -76,51 +76,45 @@ def fleet_requests(spec: FleetSpec, rate: float) -> list[TimedRequest]:
     client gets seeded uniform jitter.  Stable sort by (offset, client
     index) makes the stream order reproducible even under jitter ties.
     """
-    if rate <= 0:
-        raise ConfigurationError(f"rate must be positive, got {rate}")
+    require_positive("rate", rate)
     clients = build_fleet_clients(spec)
     wave_spread = spec.n_clients / rate
     wave_interval = wave_spread * 1.25  # waves overlap-free but back to back
     rng = np.random.default_rng(spec.seed + 0x5E41)
     jitter = rng.uniform(0.0, wave_spread, size=(spec.rounds, spec.n_clients))
-    deadline_cache: dict[tuple[str, str], list[Seconds]] = {}
-    stream: list[tuple[Seconds, int, DecisionRequest]] = []
-    for client in clients:
-        profile = get_profile(client.device, client.task)
+    # Jobs and deadlines are an *archetype* property keyed on the fleet
+    # seed — not on per-client trace seeds — so clients sharing (device,
+    # task) ask the service the identical question each round.  That
+    # shared traffic is what exercises the decision cache and the coalescer.
+    questions: dict[tuple[str, str], tuple[int, list[Seconds]]] = {}
+    for device, task in dict.fromkeys((c.device, c.task) for c in clients):
+        profile = get_profile(device, task)
         jobs = profile.jobs_per_round
-        # Deadlines are an *archetype* property keyed on the fleet seed —
-        # not on per-client trace seeds — so clients sharing (device, task)
-        # ask the service the identical question each round.  That shared
-        # traffic is what exercises the decision cache and the coalescer.
-        key = (client.device, client.task)
-        deadlines = deadline_cache.get(key)
-        if deadlines is None:
-            seed = _scenario_seed(client.device, client.task, spec.seed)
-            t_min = profile.t_xmax * jobs
-            deadlines = UniformDeadlines(spec.deadline_ratio).generate(
-                t_min, spec.rounds, seed=seed + 1
-            )
-            deadline_cache[key] = deadlines
-        for round_index in range(spec.rounds):
-            offset = (
-                round_index * wave_interval
-                + float(jitter[round_index, client.index])
-            )
-            stream.append(
-                (
-                    offset,
-                    client.index,
-                    DecisionRequest(
-                        device=client.device,
-                        task=client.task,
-                        jobs=jobs,
-                        deadline=deadlines[round_index],
-                        client_id=client.client_id,
-                    ),
-                )
-            )
-    stream.sort(key=lambda item: (item[0], item[1]))
-    return [TimedRequest(offset=offset, request=request) for offset, _, request in stream]
+        seed = _scenario_seed(device, task, spec.seed)
+        deadlines = UniformDeadlines(spec.deadline_ratio).generate(
+            profile.t_xmax * jobs, spec.rounds, seed=seed + 1
+        )
+        questions[(device, task)] = (jobs, deadlines)
+    asks = [(c.device, c.task, c.client_id) + questions[(c.device, c.task)] for c in clients]
+    # Flat index client * rounds + round: client-major, the order in which
+    # the stable sort keeps ties.
+    offsets = (np.arange(spec.rounds)[:, None] * wave_interval + jitter).T.ravel()
+    order = np.lexsort((np.arange(offsets.size) // spec.rounds, offsets))
+    client_of, round_of = np.divmod(order, spec.rounds)
+    stream: list[TimedRequest] = []
+    for offset, index, round_index in zip(
+        offsets[order].tolist(), client_of.tolist(), round_of.tolist()
+    ):
+        device, task, client_id, jobs, deadlines = asks[index]
+        request = DecisionRequest(
+            device=device,
+            task=task,
+            jobs=jobs,
+            deadline=deadlines[round_index],
+            client_id=client_id,
+        )
+        stream.append(TimedRequest(offset=offset, request=request))
+    return stream
 
 
 @dataclass(frozen=True)

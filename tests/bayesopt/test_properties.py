@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.bayesopt.acquisition import expected_hypervolume_improvement
 from repro.bayesopt.hypervolume import hypervolume_2d, hypervolume_improvement_2d
-from repro.bayesopt.pareto import pareto_front, pareto_mask
+from repro.bayesopt.pareto import _pareto_mask_2d, pareto_front, pareto_mask
+from tests.bayesopt.reference_pareto import reference_pareto_mask_2d
 
 finite_points = arrays(
     np.float64,
@@ -120,3 +121,30 @@ def test_hypervolume_affine_equivariance(points, scale, shift):
     transformed = points * scale + shift
     hv_t = hypervolume_2d(transformed, REF * scale + shift)
     assert abs(hv_t - scale**2 * hv) < 1e-6 * max(1.0, scale**2)
+
+
+# -- the array sweep equals the scalar sweep kept in tests/ -------------------
+
+
+def _points(elements):
+    return arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)), elements=elements)
+
+
+#: Random points; a handful of values, so ties, exact duplicates and
+#: infinities are the common case; any float, NaN included; repeated rows.
+_sweep_inputs = st.one_of(
+    _points(st.floats(-1e6, 1e6, allow_nan=False)),
+    _points(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf])),
+    _points(st.floats(allow_nan=True, allow_infinity=True)),
+    st.builds(
+        lambda base, copies: np.repeat(base, copies, axis=0),
+        _points(st.floats(0.0, 10.0, allow_nan=False)),
+        st.integers(2, 4),
+    ),
+)
+
+
+@given(points=_sweep_inputs)
+@settings(max_examples=800, deadline=None)
+def test_mask_matches_the_scalar_sweep(points):
+    assert np.array_equal(_pareto_mask_2d(points), reference_pareto_mask_2d(points))

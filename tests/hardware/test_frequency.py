@@ -125,3 +125,52 @@ class TestConfigurationSpace:
         arr = space.as_array()
         assert arr.shape == (len(space), 3)
         assert tuple(arr[0]) == space.all_configurations()[0].as_tuple()
+
+
+class TestSharedEnumeration:
+    """Spaces with the same tables share one read-only enumeration."""
+
+    def test_equal_tables_share_one_list_and_array(self):
+        from repro.hardware.devices import get_device
+
+        first, second = get_device("agx").space, get_device("agx").space
+        assert first is not second
+        assert first.all_configurations() is second.all_configurations()
+        assert first.as_array() is second.as_array()
+        assert get_device("tx2").space.as_array() is not first.as_array()
+
+    @pytest.mark.parametrize("device", ["agx", "tx2"])
+    def test_array_is_read_only_and_bit_equal_to_the_list(self, device):
+        from repro.hardware.devices import get_device
+
+        space = get_device(device).space
+        coords = space.as_array()
+        assert not coords.flags.writeable
+        with pytest.raises(ValueError):
+            coords[0, 0] = 1.0
+        expected = np.array([c.as_tuple() for c in space.all_configurations()])
+        assert coords.dtype == expected.dtype
+        assert coords.shape == expected.shape == (len(space), 3)
+        assert coords.tobytes() == expected.tobytes()
+
+    def test_array_and_picks_build_no_whole_list(self, monkeypatch):
+        built = []
+        original = DvfsConfiguration.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(DvfsConfiguration, "__post_init__", counting)
+        # Tables no other test uses, so nothing is cached for them yet.
+        space = ConfigurationSpace(
+            FrequencyTable("cpu", [0.31, 0.67, 1.13]),
+            FrequencyTable("gpu", [0.29, 0.71]),
+            FrequencyTable("mem", [0.37, 0.83, 1.41, 1.97]),
+        )
+        assert space.as_array().shape == (24, 3)
+        assert built == []
+        picked = space.configurations_at([0, 5, 23])
+        assert len(built) == 3
+        assert picked == [space.all_configurations()[i] for i in (0, 5, 23)]
+        assert len(built) == 3 + 24

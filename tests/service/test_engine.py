@@ -176,6 +176,49 @@ class TestDegradation:
         with pytest.raises(ConfigurationError):
             service.submit(_request(), at=0.5)
 
+    def test_arrivals_must_be_finite(self):
+        service = _service()
+        with pytest.raises(ConfigurationError, match="arrival time .*nan"):
+            service.submit(_request(), at=float("nan"))
+        # The rejected arrival left the order check intact.
+        service.submit(_request(), at=1.0)
+        with pytest.raises(ConfigurationError, match="nondecreasing"):
+            service.submit(_request(), at=0.5)
+
+
+class TestUnknownArchetypes:
+    """A request with no profile fails at its own submit and nowhere else."""
+
+    def test_bad_request_does_not_poison_later_ones(self):
+        service = PaceDecisionService(ServiceConfig())
+        with pytest.raises(ConfigurationError, match="unknown device 'nano'"):
+            service.submit(_request(device="nano"), at=0.0)
+        with pytest.raises(ConfigurationError, match="unknown task 'bert'"):
+            service.submit(_request(task="bert"), at=0.0)
+        good = _request(jobs=50, deadline=60.0, client_id="good")
+        service.submit(good, at=0.0)
+        service.drain()
+        assert [d.request for d in service.decisions] == [good]
+        assert service.decisions[0].plan.source == "computed"
+        assert service.requests == 1
+
+    def test_failed_submit_changes_nothing(self):
+        def resolver(device: str, task: str) -> ArchetypeProfile:
+            if device == "nano":
+                raise ConfigurationError(f"unknown device {device!r}")
+            return _toy_profile(device, task)
+
+        service = PaceDecisionService(ServiceConfig(), profiles=resolver)
+        service.submit(_request(client_id="first"), at=0.5)
+        before = (service.clock.now, service.requests, len(service._pending))
+        with pytest.raises(ConfigurationError, match="'nano'"):
+            service.submit(_request(device="nano"), at=2.0)
+        assert (service.clock.now, service.requests, len(service._pending)) == before
+        # The failed arrival at 2.0 did not move the nondecreasing floor.
+        service.submit(_request(client_id="second"), at=1.0)
+        service.drain()
+        assert [d.request.client_id for d in service.decisions] == ["first", "second"]
+
 
 class TestLifecycle:
     def test_decide_returns_the_matching_decision(self):

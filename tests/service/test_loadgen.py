@@ -1,6 +1,7 @@
 """Tests for the deterministic load generator and its reports."""
 
 import json
+import math
 
 import pytest
 
@@ -13,8 +14,12 @@ from repro.service import (
     service_report_from_trace,
 )
 from repro.sim.fleet import FleetSpec
+from tests.service.reference_loadgen import reference_fleet_requests
 
 SPEC = FleetSpec(n_clients=12, rounds=2, seed=7)
+
+#: Arrival rates for the reference comparison (requests per second).
+RATES = (0.5, 200.0, 1000.0, 7919.25)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,38 @@ class TestFleetRequests:
     def test_rate_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             fleet_requests(SPEC, rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(ConfigurationError, match=f"rate .*{rate}"):
+            fleet_requests(SPEC, rate=rate)
+
+
+class TestStreamMatchesReference:
+    """The array-built stream equals the per-client loop kept in tests/."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_offsets_order_and_every_field(self, seed):
+        for n_clients in (1, 7, 60, 1000):
+            # Every rate on the small fleets, one (rotating by seed) on 1,000.
+            rates = RATES if n_clients < 1000 else (RATES[seed % len(RATES)],)
+            for archetypes in (12, None):
+                for chaos in (0.0, 0.3):
+                    spec = FleetSpec(
+                        n_clients=n_clients, rounds=3, seed=seed,
+                        archetypes=archetypes, chaos_fraction=chaos,
+                    )
+                    for rate in rates:
+                        got = fleet_requests(spec, rate)
+                        want = reference_fleet_requests(spec, rate)
+                        assert all(type(t.offset) is float for t in got)
+                        assert [t.offset.hex() for t in got] == [
+                            t.offset.hex() for t in want
+                        ]
+                        assert [t.request for t in got] == [t.request for t in want]
+                        assert [t.request.deadline.hex() for t in got] == [
+                            t.request.deadline.hex() for t in want
+                        ]
 
 
 class TestRunLoadtest:

@@ -313,6 +313,32 @@ class TestServiceCommands:
         assert "request line 2" in err
         assert "deadline must be positive and finite" in err
 
+    def test_serve_names_the_line_with_an_unknown_device(self, tmp_path, capsys):
+        stream = tmp_path / "nano.jsonl"
+        stream.write_text(
+            '{"device": "agx", "task": "vit", "jobs": 50, "deadline": 60.0}\n'
+            '{"device": "nano", "task": "vit", "jobs": 50, "deadline": 60.0}\n'
+        )
+        assert main(["serve", str(stream)]) == 1
+        err = capsys.readouterr().err
+        assert "request line 2" in err
+        assert "unknown device 'nano'" in err
+
+    @pytest.mark.parametrize("rate", ["nan", "0", "-5"])
+    def test_serve_rejects_a_bad_rate(self, tmp_path, capsys, rate):
+        stream = tmp_path / "requests.jsonl"
+        stream.write_text(
+            '{"device": "agx", "task": "vit", "jobs": 50, "deadline": 60.0}\n'
+        )
+        assert main(["serve", str(stream), "--rate", rate]) == 1
+        captured = capsys.readouterr()
+        assert f"rate must be a finite positive number, got {float(rate)}" in captured.err
+        assert captured.out == ""
+
+    def test_loadtest_rejects_a_nan_rate(self, capsys):
+        assert main(["loadtest", "--clients", "6", "--rounds", "1", "--rate", "nan"]) == 1
+        assert "rate must be a finite positive number, got nan" in capsys.readouterr().err
+
 
 class TestServertuneCommand:
     #: Two archetypes, two members, one generation: three fast evaluations.
