@@ -78,9 +78,11 @@ class MultiObjectiveBayesianOptimizer:
         self._reference: Optional[np.ndarray] = None
         self._fit_count = 0
         self._last_max_ehvi: Optional[float] = None
+        #: (fantasy capacity, candidates, their inputs, base posteriors);
+        #: dropped by ``fit`` and by a new observation.
         self._suggest_cache: Optional[
             tuple[
-                tuple[int, int, int],
+                int,
                 list[DvfsConfiguration],
                 np.ndarray,
                 BatchPosterior,
@@ -98,6 +100,10 @@ class MultiObjectiveBayesianOptimizer:
             raise OptimizationError(f"{config} is outside the optimizer's space")
         if latency <= 0 or energy <= 0:
             raise OptimizationError("objective values must be positive")
+        if config not in self._observations:
+            # A new observation changes the candidate set: release the
+            # suggest cache now rather than at the next suggest.
+            self._suggest_cache = None
         self._observations[config] = (float(latency), float(energy))
 
     @property
@@ -169,6 +175,9 @@ class MultiObjectiveBayesianOptimizer:
                 f"need at least 2 observations to fit the surrogates, have {len(configs)}"
             )
         x = self.space.normalize_many(configs)
+        # The cached posteriors belong to the GPs this fit replaces; drop
+        # them before the refit allocates, not at the next suggest.
+        self._suggest_cache = None
         prev_latency, prev_energy = self._gp_latency, self._gp_energy
         warm = self.warm_start and prev_latency is not None and prev_energy is not None
         with obs.timer("mbo.gp_fit_seconds") as span:
@@ -242,16 +251,17 @@ class MultiObjectiveBayesianOptimizer:
         gp_l, gp_e = self._gp_latency, self._gp_energy
         # The candidate set and the base posteriors are pure functions of
         # (fitted GPs, observation set), so repeated suggests against an
-        # unchanged optimizer reuse them.  Any refit bumps ``fit_count``
-        # and any new observation changes ``n_observations``, so staleness
-        # is impossible; ``exclude`` bypasses the cache entirely.
+        # unchanged optimizer reuse them.  ``fit`` and a new observation
+        # drop the cache the moment it goes stale, so two ~2,000-candidate
+        # posteriors never outlive the GPs they were built from; ``exclude``
+        # bypasses the cache entirely.
         cached = self._suggest_cache if not exclude else None
         candidates: Optional[list[DvfsConfiguration]] = None
         post_l: Optional[BatchPosterior] = None
         post_e: Optional[BatchPosterior] = None
         if cached is not None:
-            key, candidates, candidate_x, post_l, post_e = cached
-            if key[:2] != (self._fit_count, self.n_observations) or key[2] < batch_size:
+            capacity, candidates, candidate_x, post_l, post_e = cached
+            if capacity < batch_size:
                 candidates = post_l = post_e = None
         if candidates is None:
             skip = set(self._observations)
@@ -278,7 +288,7 @@ class MultiObjectiveBayesianOptimizer:
             post_e = BatchPosterior(gp_e, candidate_x, capacity=n_picks)
             if not exclude:
                 self._suggest_cache = (
-                    (self._fit_count, self.n_observations, n_picks),
+                    n_picks,
                     candidates,
                     candidate_x,
                     post_l,

@@ -56,9 +56,11 @@ the same client without either subsystem knowing about the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Sequence
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from collections.abc import Iterator, Sequence
+from typing import Any, Optional, Union
+
+import numpy as np
 
 from repro.core.records import RoundRecord
 from repro.errors import ConfigurationError
@@ -78,8 +80,8 @@ from repro.types import Seconds
 #: Aggregation disciplines the engine understands.
 FLEET_MODES: tuple[str, ...] = ("sync", "semisync", "async")
 
-#: Result granularities: ``reports`` materializes one
-#: :class:`FleetReport` per client report;
+#: Result granularities: ``reports`` keeps every client report (as
+#: :class:`ReportColumns`, built into :class:`FleetReport` objects on read);
 #: ``stats`` keeps only per-round aggregate counters
 #: (:class:`RoundStats`), the O(rounds)-memory shape that makes
 #: 100k–1M-client compositions fit in bounded RSS.
@@ -95,7 +97,7 @@ def check_detail(
 ) -> None:
     """Reject a ``detail`` the engine cannot compose in ``mode``.
 
-    ``stats`` keeps no per-report objects, so an ``async`` composition
+    ``stats`` keeps no per-report state, so an ``async`` composition
     needs the static fast drain: no server controller (``controlled``)
     and no ``max_staleness`` bound.  The CLI calls this before gathering
     any traces, so an impossible run fails before any campaign is
@@ -182,13 +184,107 @@ class FleetReport:
     status: str = "buffered"
 
 
+#: Report dispositions; :attr:`ReportColumns.status` holds their indices.
+REPORT_STATUSES: tuple[str, ...] = ("buffered", "straggler", "cutoff", "stale")
+BUFFERED, STRAGGLER, CUTOFF, STALE = range(len(REPORT_STATUSES))
+_STATUS_CODES = {status: code for code, status in enumerate(REPORT_STATUSES)}
+
+#: :class:`FleetReport` field names, in declaration (and ``to_dict``) order.
+_REPORT_FIELDS = tuple(f.name for f in fields(FleetReport))
+
+#: The columns of :class:`ReportColumns` and their dtypes, in field order.
+_COLUMNS: tuple[tuple[str, str], ...] = (
+    ("client", "int64"),
+    ("local_round", "int64"),
+    ("arrival", "float64"),
+    ("train_elapsed", "float64"),
+    ("upload", "float64"),
+    ("energy", "float64"),
+    ("missed", "bool"),
+    ("staleness", "int64"),
+    ("weight", "float64"),
+    ("status", "int8"),
+)
+
+#: One report laid out as the columns are: (client position, local round,
+#: arrival, train_elapsed, upload, energy, missed, staleness, weight,
+#: status code).
+ReportRow = tuple[int, int, float, float, float, float, bool, int, float, int]
+
+
+@dataclass(frozen=True, eq=False)
+class ReportColumns:
+    """One round's client reports as parallel column arrays, in report order.
+
+    Each column is one :class:`FleetReport` field; ``client`` holds
+    positions into ``client_ids`` (one list shared by every round of a
+    composition) and ``status`` holds indices into
+    :data:`REPORT_STATUSES`.  A report costs a few dozen bytes here
+    against a few hundred as an object; :meth:`reports` builds the objects
+    when a caller asks for them, with the same Python types and float bits.
+    """
+
+    client_ids: Sequence[str]
+    client: np.ndarray
+    local_round: np.ndarray
+    arrival: np.ndarray
+    train_elapsed: np.ndarray
+    upload: np.ndarray
+    energy: np.ndarray
+    missed: np.ndarray
+    staleness: np.ndarray
+    weight: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.client.shape[0])
+
+    @classmethod
+    def from_rows(
+        cls, client_ids: Sequence[str], rows: Sequence[ReportRow]
+    ) -> "ReportColumns":
+        values = list(zip(*rows)) if rows else [()] * len(_COLUMNS)
+        return cls(
+            client_ids,
+            *(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, _COLUMNS)),
+        )
+
+    @classmethod
+    def from_reports(cls, reports: Sequence[FleetReport]) -> "ReportColumns":
+        rows: list[ReportRow] = []
+        for i, r in enumerate(reports):
+            if r.status not in _STATUS_CODES:
+                raise ConfigurationError(f"unknown report status {r.status!r}")
+            rows.append((
+                i, r.local_round, r.arrival, r.train_elapsed, r.upload,
+                r.energy, r.missed, r.staleness, r.weight,
+                _STATUS_CODES[r.status],
+            ))
+        return cls.from_rows([r.client_id for r in reports], rows)
+
+    def take(self, index: Union[slice, np.ndarray]) -> "ReportColumns":
+        """The reports at ``index`` (a slice gives views, a mask copies)."""
+        return ReportColumns(
+            self.client_ids, *(getattr(self, name)[index] for name, _ in _COLUMNS)
+        )
+
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        """Each report as a tuple of :class:`FleetReport` fields (Python types)."""
+        ids = self.client_ids
+        for row in zip(*(getattr(self, name).tolist() for name, _ in _COLUMNS)):
+            yield (ids[row[0]], *row[1:9], REPORT_STATUSES[row[9]])
+
+    def reports(self) -> list[FleetReport]:
+        return [FleetReport(*row) for row in self.rows()]
+
+
 @dataclass(frozen=True)
 class RoundStats:
     """Aggregate round counters for ``detail="stats"`` compositions.
 
     Holds exactly what the :class:`FleetResult` scorecard and the per-round
     observability events consume, so a stats-mode round carries O(1) memory
-    instead of one :class:`FleetReport` per client.  ``energy`` is summed
+    instead of one column entry per report.  ``energy`` is summed
     in reports-mode order (dropped reports first, then arrivals), keeping
     the float total bit-identical to the reports-mode accumulation.
     """
@@ -220,31 +316,93 @@ class RoundStats:
         }
 
 
-@dataclass
 class FleetRound:
     """Server-side record of one aggregation (ServerRound-equivalent).
 
-    In ``detail="reports"`` compositions every client report is kept in
-    :attr:`reports`; in ``detail="stats"`` mode the per-report lists stay
-    empty and :attr:`stats` carries the aggregate counters.  All derived
-    quantities go through the ``*_count`` accessors, which read whichever
-    representation is present.
+    A round holds its client reports in one of three shapes, and every
+    accessor below reads whichever is present:
+
+    * ``columns`` — the engine's ``detail="reports"`` rounds keep a
+      :class:`ReportColumns`; :attr:`reports` builds fresh
+      :class:`FleetReport` objects on each read, and no accessor does.
+    * a report list — a round built from :class:`FleetReport` objects
+      (``reports=[...]``, or appended to :attr:`reports` afterwards, as
+      the per-event test oracle does) keeps that list and returns it as
+      is; the accessors convert it to columns on each read.
+    * ``stats`` — ``detail="stats"`` rounds keep aggregate counters
+      (:class:`RoundStats`) and no reports.
+
+    Two rounds are equal when their fields and their :attr:`reports` are.
     """
 
-    round_index: int
-    started_at: Seconds
-    completed_at: Seconds
-    participants: list[str] = field(default_factory=list)
-    reports: list[FleetReport] = field(default_factory=list)
-    #: Clients whose trace round was a chaos dropout (no report sent).
-    dropped: list[str] = field(default_factory=list)
-    aggregated: bool = False
-    #: Global model version after this aggregation committed.
-    model_version: int = 0
-    #: The staleness-weighted aggregation probe (see module docstring).
-    model_probe: Optional[float] = None
-    #: Aggregate counters when composed with ``detail="stats"``.
-    stats: Optional[RoundStats] = None
+    def __init__(
+        self,
+        round_index: int,
+        started_at: Seconds,
+        completed_at: Seconds,
+        participants: Optional[list[str]] = None,
+        reports: Optional[list[FleetReport]] = None,
+        dropped: Optional[list[str]] = None,
+        aggregated: bool = False,
+        model_version: int = 0,
+        model_probe: Optional[float] = None,
+        stats: Optional[RoundStats] = None,
+        columns: Optional[ReportColumns] = None,
+    ) -> None:
+        if reports and columns is not None:
+            raise ConfigurationError("a round takes reports or columns, not both")
+        self.round_index = round_index
+        self.started_at = started_at
+        self.completed_at = completed_at
+        self.participants: list[str] = [] if participants is None else participants
+        #: Clients whose trace round was a chaos dropout (no report sent).
+        self.dropped: list[str] = [] if dropped is None else dropped
+        self.aggregated = aggregated
+        #: Global model version after this aggregation committed.
+        self.model_version = model_version
+        #: The staleness-weighted aggregation probe (see module docstring).
+        self.model_probe = model_probe
+        #: Aggregate counters when composed with ``detail="stats"``.
+        self.stats = stats
+        #: The reports as columns (the engine's ``detail="reports"`` shape).
+        self.columns = columns
+        self._report_list: list[FleetReport] = [] if reports is None else reports
+
+    @property
+    def reports(self) -> list[FleetReport]:
+        """The round's reports as objects (built afresh from ``columns``)."""
+        if self.columns is not None:
+            return self.columns.reports()
+        return self._report_list
+
+    def _report_columns(self) -> ReportColumns:
+        if self.columns is not None:
+            return self.columns
+        return ReportColumns.from_reports(self._report_list)
+
+    _FIELDS = (
+        "round_index",
+        "started_at",
+        "completed_at",
+        "participants",
+        "reports",
+        "dropped",
+        "aggregated",
+        "model_version",
+        "model_probe",
+        "stats",
+    )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._FIELDS
+        )
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"FleetRound({body})"
 
     @property
     def latency(self) -> Seconds:
@@ -254,16 +412,22 @@ class FleetRound:
     def total_energy(self) -> float:
         if self.stats is not None:
             return self.stats.energy
-        return sum(r.energy for r in self.reports)
+        # Left to right over Python floats, as the reports were summed.
+        energies: list[float] = self._report_columns().energy.tolist()
+        return sum(energies)
 
     @property
     def stragglers(self) -> list[str]:
         """Clients whose reports could not be aggregated this round."""
-        return [r.client_id for r in self.reports if r.status != "buffered"]
+        columns = self._report_columns()
+        ids = columns.client_ids
+        lost = columns.client[columns.status != BUFFERED]
+        return [ids[c] for c in lost.tolist()]
 
     @property
     def buffered(self) -> list[FleetReport]:
-        return [r for r in self.reports if r.status == "buffered"]
+        columns = self._report_columns()
+        return columns.take(columns.status == BUFFERED).reports()
 
     def participant_count(self) -> int:
         if self.stats is not None:
@@ -273,7 +437,7 @@ class FleetRound:
     def report_count(self) -> int:
         if self.stats is not None:
             return self.stats.n_reports
-        return len(self.reports)
+        return len(self._report_columns())
 
     def dropped_count(self) -> int:
         if self.stats is not None:
@@ -281,9 +445,7 @@ class FleetRound:
         return len(self.dropped)
 
     def buffered_count(self) -> int:
-        if self.stats is not None:
-            return self.stats.n_buffered
-        return len(self.buffered)
+        return self.status_count("buffered")
 
     def straggler_count(self) -> int:
         """Reports that could not be aggregated (any non-buffered status)."""
@@ -291,7 +453,7 @@ class FleetRound:
             return (
                 self.stats.n_straggler + self.stats.n_cutoff + self.stats.n_stale
             )
-        return len(self.stragglers)
+        return self.report_count() - self.buffered_count()
 
     def status_count(self, status: str) -> int:
         if self.stats is not None:
@@ -301,13 +463,17 @@ class FleetRound:
                 "cutoff": self.stats.n_cutoff,
                 "stale": self.stats.n_stale,
             }.get(status, 0)
-        return sum(1 for r in self.reports if r.status == status)
+        code = _STATUS_CODES.get(status)
+        if code is None:
+            return 0
+        return int(np.count_nonzero(self._report_columns().status == code))
 
     def staleness_total(self) -> int:
         """Summed staleness over buffered reports (exact integer)."""
         if self.stats is not None:
             return self.stats.staleness_sum
-        return sum(r.staleness for r in self.buffered)
+        columns = self._report_columns()
+        return int(columns.staleness[columns.status == BUFFERED].sum())
 
     def to_dict(self) -> dict[str, object]:
         result: dict[str, object] = {
@@ -320,19 +486,8 @@ class FleetRound:
             "model_version": self.model_version,
             "model_probe": self.model_probe,
             "reports": [
-                {
-                    "client_id": r.client_id,
-                    "local_round": r.local_round,
-                    "arrival": r.arrival,
-                    "train_elapsed": r.train_elapsed,
-                    "upload": r.upload,
-                    "energy": r.energy,
-                    "missed": r.missed,
-                    "staleness": r.staleness,
-                    "weight": r.weight,
-                    "status": r.status,
-                }
-                for r in self.reports
+                dict(zip(_REPORT_FIELDS, row))
+                for row in self._report_columns().rows()
             ],
         }
         if self.stats is not None:
@@ -438,7 +593,8 @@ class AsyncFederationEngine:
         ``None`` (and a controller pinned at the default knobs) composes
         byte-identically to the pre-controller engine.
     detail:
-        ``"reports"`` keeps one :class:`FleetReport` per client report;
+        ``"reports"`` keeps every client report, as :class:`ReportColumns`
+        (``round.reports`` builds the :class:`FleetReport` objects on read);
         ``"stats"`` keeps per-round :class:`RoundStats` aggregates only
         (O(rounds) memory — the 100k–1M-client shape).  For ``async``,
         stats mode needs the controller-free, unbounded-staleness fast

@@ -11,22 +11,27 @@ results and obs traces byte-identical to it:
 * **sync / semisync** (:func:`_run_rounds`): one launch is a fancy-index
   gather, one round's arrival sort is a single ``lexsort`` on
   ``(arrival, selection order)``, and the cutoff/patience/status logic is
-  boolean masks.  Per-report Python work survives only where it is
-  observable — building :class:`FleetReport` objects, emitting
-  ``fleet.enqueue`` events, feeding an energy-aware selector — and is
-  skipped entirely under ``detail="stats"`` with observability off.
+  boolean masks.  A round's reports are gathered into
+  :class:`~repro.federated.async_engine.ReportColumns` from the arrays
+  already held.  Per-report Python work survives only where it is
+  observable — emitting ``fleet.enqueue`` events, feeding an
+  energy-aware selector — and is skipped with observability off and no
+  observing selector.
 * **async fast drain** (:func:`_run_async_fast`): with no server
   controller and no staleness bound, the whole FedBuff drain is static —
   arrival times are per-client chained sums, the drain order is
   :func:`~repro.federated.eventqueue.resolve_pop_order`, flush positions
   are a cumulative-sum-modulo mask, and every report's staleness falls
   out of two ``cumsum`` lookups (committed versions before its pop minus
-  committed versions at its parent's pop).
+  committed versions at its parent's pop).  The live reports' columns
+  are built once in pop order; each round holds a slice of them.
 * **async array walk** (:func:`_run_async_walk`): an adaptive controller
   or a ``max_staleness`` bound makes flush positions sequentially
   dependent, so this path walks the drain one event at a time — over the
   precomputed columns and a plain ``(at, counter, flat)`` heap, with no
-  per-launch RNG draws and no intermediate arrival objects.  Its halt
+  per-launch RNG draws and no intermediate arrival objects.  It buffers
+  one row tuple per report and hands the rows over as columns at each
+  flush, counting buffered reports as they arrive.  Its halt
   path sums in-flight energy in raw heap-list order, which is why it
   keeps a real heap rather than :func:`resolve_pop_order`.
 
@@ -49,10 +54,16 @@ from typing import Optional
 import numpy as np
 
 from repro.federated.async_engine import (
+    BUFFERED,
+    CUTOFF,
+    REPORT_STATUSES,
+    STALE,
+    STRAGGLER,
     AsyncFederationEngine,
-    FleetReport,
     FleetResult,
     FleetRound,
+    ReportColumns,
+    ReportRow,
     RoundStats,
     staleness_weight,
 )
@@ -259,57 +270,43 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             completed_at=float(max(completed, now)),
             participants=[] if selected is None else selected,
         )
-        emitting = obs.enabled()
+        l_status = np.where(l_missed, STRAGGLER, np.where(cut_mask, CUTOFF, BUFFERED))
         if not stats_mode:
-            for pos in range(d_idx.shape[0]):
-                cid = ids[int(d_idx[pos])]
-                round_record.dropped.append(cid)
-                round_record.reports.append(
-                    FleetReport(
-                        client_id=cid,
-                        local_round=int(d_local[pos]),
-                        arrival=float(d_at[pos]),
-                        train_elapsed=float(arrays.elapsed[d_flat[pos]]),
-                        upload=0.0,
-                        energy=float(arrays.energy[d_flat[pos]]),
-                        missed=True,
-                        status="straggler",
-                    )
-                )
-        if not stats_mode or emitting or observe is not None:
-            for pos in range(l_at.shape[0]):
-                cid = ids[int(l_idx[pos])]
-                if l_missed[pos]:
-                    status = "straggler"
-                elif cut_mask[pos]:
-                    status = "cutoff"
-                else:
-                    status = "buffered"
-                energy = float(arrays.energy[l_flat[pos]])
-                arrival = float(l_at[pos])
-                local_round = int(l_local[pos])
-                if not stats_mode:
-                    round_record.reports.append(
-                        FleetReport(
-                            client_id=cid,
-                            local_round=local_round,
-                            arrival=arrival,
-                            train_elapsed=float(arrays.elapsed[l_flat[pos]]),
-                            upload=float(arrays.upload[l_flat[pos]]),
-                            energy=energy,
-                            missed=bool(l_missed[pos]),
-                            staleness=0,
-                            weight=(
-                                float(n_samples[l_idx[pos]])
-                                if status == "buffered"
-                                else 0.0
-                            ),
-                            status=status,
-                        )
-                    )
+            # Dropped reports first, then arrivals in arrival order.
+            n_dropped = d_idx.shape[0]
+            flat_all = np.concatenate([d_flat, l_flat])
+            round_record.dropped = [ids[c] for c in d_idx.tolist()]
+            round_record.columns = ReportColumns(
+                client_ids=ids,
+                client=np.concatenate([d_idx, l_idx]),
+                local_round=np.concatenate([d_local, l_local]),
+                arrival=np.concatenate([d_at, l_at]),
+                train_elapsed=arrays.elapsed[flat_all],
+                upload=np.concatenate([np.zeros(n_dropped), arrays.upload[l_flat]]),
+                energy=arrays.energy[flat_all],
+                missed=np.concatenate([np.ones(n_dropped, dtype=bool), l_missed]),
+                staleness=np.zeros(flat_all.shape[0], dtype=np.int64),
+                weight=np.concatenate(
+                    [np.zeros(n_dropped), np.where(buffered_mask, n_samples[l_idx], 0.0)]
+                ),
+                status=np.concatenate(
+                    [np.full(n_dropped, STRAGGLER), l_status]
+                ).astype(np.int8),
+            )
+        emitting = obs.enabled()
+        if emitting or observe is not None:
+            for pos, arrival, local_round, energy, code in zip(
+                l_idx.tolist(),
+                l_at.tolist(),
+                l_local.tolist(),
+                arrays.energy[l_flat].tolist(),
+                l_status.tolist(),
+            ):
+                cid = ids[pos]
                 if emitting:
                     _emit_enqueue_scalar(
-                        arrival, round_index, cid, local_round, 0, status
+                        arrival, round_index, cid, local_round, 0,
+                        REPORT_STATUSES[code],
                     )
                 if observe is not None:
                     observe(cid, energy)
@@ -417,40 +414,41 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     window_start = 0  # first pop position of the open window
     flushed_at: Seconds = 0.0
 
-    def _window_reports(
-        lo: int, hi: int, round_index: int, build: bool
-    ) -> list[FleetReport]:
-        """Emit (and optionally materialize) the live reports in pop span [lo, hi)."""
-        reports: list[FleetReport] = []
-        for j in range(lo, hi):
-            if not live[j]:
-                continue
-            cid = ids[int(p_client[j])]
-            status = "straggler" if p_missed[j] else "buffered"
-            stale = int(staleness[j])
-            arrival = float(p_at[j])
-            local_round = int(p_local[j])
-            if emitting:
-                _emit_enqueue_scalar(
-                    arrival, round_index, cid, local_round, stale, status
-                )
-            if build:
-                flat = int(pop[j])
-                reports.append(
-                    FleetReport(
-                        client_id=cid,
-                        local_round=local_round,
-                        arrival=arrival,
-                        train_elapsed=float(arrays.elapsed[flat]),
-                        upload=float(arrays.upload[flat]),
-                        energy=float(arrays.energy[flat]),
-                        missed=bool(p_missed[j]),
-                        staleness=stale,
-                        weight=float(weights[j]),
-                        status=status,
-                    )
-                )
-        return reports
+    if not stats_mode:
+        # Every live report's columns in pop order, built once; each
+        # window's round holds a slice (views) of them.
+        live_flat = pop[live]
+        live_missed = p_missed[live]
+        columns = ReportColumns(
+            client_ids=ids,
+            client=p_client[live],
+            local_round=p_local[live],
+            arrival=p_at[live],
+            train_elapsed=arrays.elapsed[live_flat],
+            upload=arrays.upload[live_flat],
+            energy=arrays.energy[live_flat],
+            missed=live_missed,
+            staleness=staleness[live],
+            weight=weights[live],
+            status=np.where(live_missed, STRAGGLER, BUFFERED).astype(np.int8),
+        )
+        # Live reports before each pop position: a window's column slice.
+        live_rank = np.concatenate(([0], np.cumsum(live)))
+
+    def _emit_window(lo: int, hi: int, round_index: int) -> None:
+        """``fleet.enqueue`` for the live reports in pop span [lo, hi)."""
+        keep = live[lo:hi]
+        for c, local_round, arrival, stale, missed in zip(
+            p_client[lo:hi][keep].tolist(),
+            p_local[lo:hi][keep].tolist(),
+            p_at[lo:hi][keep].tolist(),
+            staleness[lo:hi][keep].tolist(),
+            p_missed[lo:hi][keep].tolist(),
+        ):
+            _emit_enqueue_scalar(
+                arrival, round_index, ids[c], local_round, stale,
+                "straggler" if missed else "buffered",
+            )
 
     for w, j in enumerate(flush_positions.tolist()):
         hi = j + 1
@@ -459,17 +457,14 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
         buf_span = buffered_flag[span]
         window_clients = p_client[span][live_span]
         participants = sorted({ids[int(c)] for c in np.unique(window_clients)})
-        dropped_ids = [
-            ids[int(c)] for c in p_client[span][~live_span]
-        ]
         round_record = FleetRound(
             round_index=w,
             started_at=float(flushed_at),
             completed_at=float(p_at[j]),
             participants=participants,
-            dropped=dropped_ids if not stats_mode else [],
         )
-        reports = _window_reports(window_start, hi, w, build=not stats_mode)
+        if emitting:
+            _emit_window(window_start, hi, w)
         if stats_mode:
             pop_span = pop[span]
             energy_total = float(
@@ -489,7 +484,12 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
                 staleness_sum=int(staleness[span][buf_span].sum()),
             )
         else:
-            round_record.reports = reports
+            round_record.dropped = [
+                ids[c] for c in p_client[span][~live_span].tolist()
+            ]
+            round_record.columns = columns.take(
+                slice(int(live_rank[window_start]), int(live_rank[hi]))
+            )
         sel = np.flatnonzero(buf_span) + window_start
         version = _commit_arrays(
             engine,
@@ -506,9 +506,8 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
         window_start = hi
     # Trailing partial buffer: processed (and enqueue-emitted) but never
     # flushed; its energy joins the dropouts' as unclaimed.
-    trailing_round = len(result.rounds)
     if window_start < n_events and emitting:
-        _window_reports(window_start, n_events, trailing_round, build=False)
+        _emit_window(window_start, n_events, len(result.rounds))
     pending = sum(arrays.energy[pop[~live]].tolist())
     trailing_live = pop[window_start:][live[window_start:]]
     trailing = sum(arrays.energy[trailing_live].tolist())
@@ -548,9 +547,9 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             continue
         heapq.heappush(heap, (float(at[start]), counter, start, 0))
         counter += 1
-    buffer: list[FleetReport] = []
-    #: Client position of each buffered report, parallel to ``buffer``.
-    buffer_pos: list[int] = []
+    # The open buffer: one row per report, laid out as ReportColumns.
+    buffer: list[ReportRow] = []
+    n_buffered = 0
     pending_energy = 0.0
     pending_dropped: list[str] = []
     version = 0
@@ -577,64 +576,61 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             staleness = version - version_started
             missed = bool(arrays.missed[flat])
             if missed:
-                status = "straggler"
+                status = STRAGGLER
             elif (
                 engine.max_staleness is not None
                 and staleness > engine.max_staleness
             ):
-                status = "stale"
+                status = STALE
             else:
-                status = "buffered"
-            discount = staleness_weight(staleness, engine.staleness_exponent)
+                status = BUFFERED
             local_round = int(flat - offsets[client_pos])
-            report = FleetReport(
-                client_id=cid,
-                local_round=local_round,
-                arrival=float(arrival_at),
-                train_elapsed=float(arrays.elapsed[flat]),
-                upload=float(arrays.upload[flat]),
-                energy=float(arrays.energy[flat]),
-                missed=missed,
-                staleness=staleness,
-                weight=(
-                    float(arrays.n_samples[client_pos]) * discount
-                    if status == "buffered"
-                    else 0.0
-                ),
-                status=status,
-            )
+            arrival = float(arrival_at)
             if emitting:
                 _emit_enqueue_scalar(
-                    report.arrival, round_index, cid, local_round, staleness, status
+                    arrival, round_index, cid, local_round, staleness,
+                    REPORT_STATUSES[status],
                 )
-            buffer.append(report)
-            buffer_pos.append(client_pos)
+            weight = 0.0
+            if status == BUFFERED:
+                n_buffered += 1
+                weight = float(arrays.n_samples[client_pos]) * staleness_weight(
+                    staleness, engine.staleness_exponent
+                )
+            buffer.append((
+                client_pos,
+                local_round,
+                arrival,
+                float(arrays.elapsed[flat]),
+                float(arrays.upload[flat]),
+                float(arrays.energy[flat]),
+                missed,
+                staleness,
+                weight,
+                status,
+            ))
             threshold = engine.buffer_size
             if knobs is not None and knobs.buffer_scale != 1.0:
                 threshold = max(1, round(threshold * knobs.buffer_scale))
-            flush = (
-                sum(1 for r in buffer if r.status == "buffered") >= threshold
-            )
+            flush = n_buffered >= threshold
         if flush:
+            columns = ReportColumns.from_rows(ids, buffer)
             round_record = FleetRound(
                 round_index=round_index,
                 started_at=flushed_at,
                 completed_at=float(arrival_at),
-                participants=sorted({r.client_id for r in buffer}),
-                reports=buffer,
+                participants=sorted({ids[row[0]] for row in buffer}),
                 dropped=pending_dropped,
+                columns=columns,
             )
-            kept = [k for k, r in enumerate(buffer) if r.status == "buffered"]
-            local_rounds = np.array(
-                [buffer[k].local_round for k in kept], dtype=np.int64
-            )
-            positions = np.array([buffer_pos[k] for k in kept], dtype=np.int64)
+            kept = columns.status == BUFFERED
+            positions = columns.client[kept]
             version = _commit_arrays(
                 engine,
                 round_record,
                 version,
-                progresses=(local_rounds + 1) / progress_div[positions],
-                weights=np.array([buffer[k].weight for k in kept]),
+                progresses=(columns.local_round[kept] + 1) / progress_div[positions],
+                weights=columns.weight[kept],
                 client_index_values=index_arr[positions],
             )
             result.rounds.append(round_record)
@@ -643,7 +639,7 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             knobs = engine._round_knobs(len(result.rounds))
             flushed_at = float(arrival_at)
             buffer = []
-            buffer_pos = []
+            n_buffered = 0
             pending_dropped = []
         next_flat = flat + 1
         if next_flat < int(offsets[client_pos + 1]):
@@ -651,5 +647,6 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
                 heap, (float(at[next_flat]), counter, next_flat, version)
             )
             counter += 1
-    result.unclaimed_energy = pending_energy + sum(r.energy for r in buffer)
+    # row[5] is the report's energy.
+    result.unclaimed_energy = pending_energy + sum(row[5] for row in buffer)
     return result

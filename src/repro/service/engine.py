@@ -46,7 +46,7 @@ from repro.service.api import (
 )
 from repro.service.archetypes import ArchetypeProfile, get_profile, plan_or_fallback
 from repro.service.cache import DecisionCache, DecisionCacheStats
-from repro.types import Seconds
+from repro.types import Seconds, require_positive
 
 #: How the service obtains an archetype profile; injectable for tests.
 ProfileResolver = Callable[[str, str], ArchetypeProfile]
@@ -77,8 +77,11 @@ class ServiceCostModel:
 
     def __post_init__(self) -> None:
         for name in ("hit", "evaluate", "per_candidate", "profile_build", "degraded"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"cost model field {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"cost model field {name} must be finite and >= 0, got {value!r}"
+                )
 
     def evaluation_time(self, candidates: int, cold_profile: bool) -> Seconds:
         extra = self.profile_build if cold_profile else 0.0
@@ -101,8 +104,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.timeout <= 0:
-            raise ConfigurationError(f"timeout must be positive, got {self.timeout}")
+        require_positive("timeout", self.timeout)
         if self.cache_entries < 1:
             raise ConfigurationError(
                 f"cache_entries must be >= 1, got {self.cache_entries}"

@@ -31,10 +31,10 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import BoFLConfig
 from repro.core.records import CampaignResult
@@ -52,6 +52,9 @@ from repro.sim.runner import (
     prime_campaign_cache,
     run_campaign,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Hard ceiling on worker processes: beyond the physical core count the
 #: simulation is purely CPU-bound and extra workers only add contention.
@@ -364,6 +367,10 @@ class CampaignExecutor:
         specs: Sequence[CampaignSpec],
         complete: Callable[[CampaignKey, CampaignResult, float, str], None],
     ) -> None:
+        # Imported here: the process pool loads ``multiprocessing``,
+        # which a ``workers=1`` run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures: dict[Future[CampaignResult], tuple[CampaignKey, float]] = {}

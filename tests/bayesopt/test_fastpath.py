@@ -5,6 +5,9 @@ cached candidate posterior, the pruned-but-exact EHVI argmax, jitter
 escalation, and the saturation short-circuit in ``suggest``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +352,32 @@ class TestSuggestFastPath:
         next_picks = optimizer.suggest(4)
         assert picks[0] not in next_picks
         assert optimizer._suggest_cache is not stale
+
+    @pytest.mark.parametrize("change", ["fit", "new observation"])
+    def test_stale_cache_is_released_at_once(self, change):
+        """The two cached candidate posteriors die with the change that
+        makes them stale, not at the next suggest."""
+        optimizer = fitted_optimizer()
+        picks = optimizer.suggest(4)
+        cached = weakref.ref(optimizer._suggest_cache[3])
+        if change == "fit":
+            optimizer.fit(optimize_hyperparameters=False)
+        else:
+            model = vit().performance_model(jetson_agx())
+            optimizer.add_observation(picks[0], *model.objectives(picks[0]))
+        assert optimizer._suggest_cache is None
+        gc.collect()
+        assert cached() is None
+
+    def test_overwritten_observation_keeps_the_cache(self):
+        """Fresher data for an observed point leaves the key (fit count,
+        observation count) unchanged, and the cache with it."""
+        optimizer = fitted_optimizer()
+        optimizer.suggest(4)
+        cached = optimizer._suggest_cache
+        observed = optimizer.observed_configurations[0]
+        optimizer.add_observation(observed, 1.0, 1.0)
+        assert optimizer._suggest_cache is cached
 
     def test_exclude_bypasses_cache_and_is_respected(self):
         optimizer = fitted_optimizer()

@@ -220,6 +220,23 @@ class TestUnknownArchetypes:
         assert [d.request.client_id for d in service.decisions] == ["first", "second"]
 
 
+class TestConfiguration:
+    """Non-finite settings fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_timeout_must_be_finite(self, timeout):
+        with pytest.raises(ConfigurationError, match="timeout must be a finite"):
+            ServiceConfig(timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "name", ["hit", "evaluate", "per_candidate", "profile_build", "degraded"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_cost_fields_must_be_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"cost model field {name} "):
+            ServiceCostModel(**{name: value})
+
+
 class TestLifecycle:
     def test_decide_returns_the_matching_decision(self):
         service = _service()

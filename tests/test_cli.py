@@ -339,6 +339,11 @@ class TestServiceCommands:
         assert main(["loadtest", "--clients", "6", "--rounds", "1", "--rate", "nan"]) == 1
         assert "rate must be a finite positive number, got nan" in capsys.readouterr().err
 
+    def test_loadtest_rejects_a_nan_timeout(self, capsys):
+        argv = ["loadtest", "--clients", "6", "--rounds", "1", "--passes", "1"]
+        assert main([*argv, "--timeout", "nan"]) == 1
+        assert "timeout must be a finite positive number, got nan" in capsys.readouterr().err
+
 
 class TestServertuneCommand:
     #: Two archetypes, two members, one generation: three fast evaluations.

@@ -124,6 +124,19 @@ assert len(service.decisions) == len(stream) > 0
 """
 
 
+#: A one-worker fleet run: every campaign computes inline, so the process
+#: pool (``concurrent.futures.process``, multiprocessing) is never built.
+_INLINE_FLEET_RUN = """
+import json, sys
+from repro.sim.fleet import FleetSpec, run_fleet
+spec = FleetSpec(n_clients=4, rounds=2, archetypes=2, controllers=("performant",))
+assert run_fleet(spec, workers=1).rounds
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")
+)))
+"""
+
+
 def _python(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SOURCE_ROOT)}
     completed = subprocess.run(
@@ -203,3 +216,10 @@ def test_decision_service_loads_only_its_layers():
 def test_cli_import_loads_no_engine():
     loaded = _repro_loaded("import repro.cli")
     assert [m for m in CLI_UNUSED if m in loaded] == []
+
+
+def test_inline_executor_run_loads_no_process_pool():
+    loaded = json.loads(_python(_INLINE_FLEET_RUN))
+    assert "concurrent.futures" in loaded  # the executor's own import is seen
+    assert "concurrent.futures.process" not in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "multiprocessing"]
