@@ -65,10 +65,10 @@ TRACE_VIEWS = ("summary", "tab3", "fig13")
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for the ``repro`` CLI."""
-    from repro.federated.async_engine import FLEET_DETAILS, FLEET_MODES
-    from repro.sim.chaos import CHAOS_PRESETS
+    from repro.faults.schedule import CHAOS_PRESETS
+    from repro.federated.choices import FLEET_DETAILS, FLEET_MODES
+    from repro.sim.choices import CONTROLLER_NAMES
     from repro.sim.fleet import FLEET_SELECTORS
-    from repro.sim.runner import CONTROLLER_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro",

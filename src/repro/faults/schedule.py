@@ -50,6 +50,16 @@ FAULT_KINDS: tuple[str, ...] = (
     "client_dropout",
 )
 
+#: Named fault mixes for ``repro chaos run --preset``
+#: (:func:`repro.sim.chaos.preset_schedule`).  Each preset is the tuple of
+#: kinds :meth:`FaultSchedule.generate` cycles through.
+CHAOS_PRESETS: dict[str, tuple[str, ...]] = {
+    "sensor": ("sensor_outage", "sensor_spike", "dvfs_reject"),
+    "thermal": ("thermal_trip", "straggler"),
+    "transport": ("transport_stall", "transport_loss", "client_dropout"),
+    "mixed": FAULT_KINDS,
+}
+
 #: Kinds that corrupt the controller's measurement pipeline (the
 #: restore-on-corruption recovery policy keys on these).
 MEASUREMENT_CORRUPTING_KINDS = frozenset(

@@ -25,8 +25,8 @@ if TYPE_CHECKING:
         UniformDeadlines,
     )
     from repro.federated.aggregation import FedAvg, TrimmedMeanAggregator
+    from repro.federated.choices import FLEET_MODES
     from repro.federated.async_engine import (
-        FLEET_MODES,
         AsyncFederationEngine,
         FleetClient,
         FleetReport,

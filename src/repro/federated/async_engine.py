@@ -65,6 +65,7 @@ import numpy as np
 from repro.core.records import RoundRecord
 from repro.errors import ConfigurationError
 from repro.federated.aggregation import Aggregator, FedAvg
+from repro.federated.choices import FLEET_DETAILS, FLEET_MODES
 from repro.federated.hierarchy import HierarchySpec
 from repro.federated.selection import ClientSelector
 from repro.federated.transport import LinkModel
@@ -76,17 +77,6 @@ from repro.servertune.controllers import (
     ServerKnobs,
 )
 from repro.types import Seconds
-
-#: Aggregation disciplines the engine understands.
-FLEET_MODES: tuple[str, ...] = ("sync", "semisync", "async")
-
-#: Result granularities: ``reports`` keeps every client report (as
-#: :class:`ReportColumns`, built into :class:`FleetReport` objects on read);
-#: ``stats`` keeps only per-round aggregate counters
-#: (:class:`RoundStats`), the O(rounds)-memory shape that makes
-#: 100k–1M-client compositions fit in bounded RSS.
-FLEET_DETAILS: tuple[str, ...] = ("reports", "stats")
-
 
 def check_detail(
     detail: str,

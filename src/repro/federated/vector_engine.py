@@ -208,7 +208,9 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
             break
         if engine.selector is None:
             sel_idx = np.arange(n, dtype=np.int64)
-            selected: Optional[list[str]] = None if stats_mode else list(ids)
+            # Everyone participates: every round shares the composition's
+            # one id list (read-only, as ReportColumns shares it).
+            selected: Optional[list[str]] = None if stats_mode else ids
             n_selected = n
         else:
             chosen = engine._select_ids(round_index, knobs)

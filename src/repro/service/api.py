@@ -73,6 +73,27 @@ class DecisionRequest:
                 f"safety_margin must lie in [0, 1), got {self.safety_margin}"
             )
 
+    def for_client(self, client_id: str) -> DecisionRequest:
+        """This question, asked by ``client_id``.
+
+        ``client_id`` is routing metadata with no invariant, so the copy
+        skips the validation this request already passed: a fleet's
+        per-client requests cost one validated construction per distinct
+        question.  Fields are set with ``object.__setattr__`` in field
+        order, as the generated ``__init__`` sets them, which keeps the
+        compact instance layout; filling ``__dict__`` instead would give
+        every request its own dict.
+        """
+        request = object.__new__(type(self))
+        stamp = object.__setattr__
+        stamp(request, "device", self.device)
+        stamp(request, "task", self.task)
+        stamp(request, "jobs", self.jobs)
+        stamp(request, "deadline", self.deadline)
+        stamp(request, "safety_margin", self.safety_margin)
+        stamp(request, "client_id", client_id)
+        return request
+
     def token(self) -> dict[str, object]:
         """The JSON-stable semantic identity of this request.
 

@@ -28,7 +28,7 @@ import json
 import pathlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.obs.events import Event, read_jsonl
 from repro.service.api import Decision, DecisionRequest
 from repro.service.archetypes import get_profile
 from repro.service.engine import PaceDecisionService, ServiceConfig, ServiceStats
-from repro.sim.fleet import FleetSpec, build_fleet_clients
+from repro.sim.fleet import FleetSpec, client_slot
 from repro.types import Seconds, require_positive
 
 
@@ -59,9 +59,12 @@ def _scenario_seed(device: str, task: str, trace_seed: int) -> int:
     return zlib.crc32(f"{device}/{task}/{trace_seed}".encode()) % (2**31)
 
 
-@dataclass(frozen=True)
-class TimedRequest:
-    """One request plus its simulated arrival offset within a pass."""
+class TimedRequest(NamedTuple):
+    """One request plus its simulated arrival offset within a pass.
+
+    A named tuple because a stream holds one per (client, round), and a
+    tuple is built without running a Python-level ``__init__``.
+    """
 
     offset: Seconds
     request: DecisionRequest
@@ -75,9 +78,14 @@ def fleet_requests(spec: FleetSpec, rate: float) -> list[TimedRequest]:
     the whole fleet at ``rate`` requests/second; within the wave each
     client gets seeded uniform jitter.  Stable sort by (offset, client
     index) makes the stream order reproducible even under jitter ties.
+
+    Clients come from :func:`~repro.sim.fleet.client_slot` (no client
+    objects), and each distinct (archetype, round) question is validated
+    once; its per-client requests are
+    :meth:`~repro.service.api.DecisionRequest.for_client` copies.
     """
     require_positive("rate", rate)
-    clients = build_fleet_clients(spec)
+    slots = [client_slot(spec, index) for index in range(spec.n_clients)]
     wave_spread = spec.n_clients / rate
     wave_interval = wave_spread * 1.25  # waves overlap-free but back to back
     rng = np.random.default_rng(spec.seed + 0x5E41)
@@ -86,16 +94,22 @@ def fleet_requests(spec: FleetSpec, rate: float) -> list[TimedRequest]:
     # seed — not on per-client trace seeds — so clients sharing (device,
     # task) ask the service the identical question each round.  That
     # shared traffic is what exercises the decision cache and the coalescer.
-    questions: dict[tuple[str, str], tuple[int, list[Seconds]]] = {}
-    for device, task in dict.fromkeys((c.device, c.task) for c in clients):
+    questions: dict[tuple[str, str], list[DecisionRequest]] = {}
+    for device, task in dict.fromkeys((device, task) for device, task, *_ in slots):
         profile = get_profile(device, task)
         jobs = profile.jobs_per_round
         seed = _scenario_seed(device, task, spec.seed)
         deadlines = UniformDeadlines(spec.deadline_ratio).generate(
             profile.t_xmax * jobs, spec.rounds, seed=seed + 1
         )
-        questions[(device, task)] = (jobs, deadlines)
-    asks = [(c.device, c.task, c.client_id) + questions[(c.device, c.task)] for c in clients]
+        questions[(device, task)] = [
+            DecisionRequest(device=device, task=task, jobs=jobs, deadline=deadline)
+            for deadline in deadlines
+        ]
+    asks = [
+        (questions[(device, task)], client_id)
+        for device, task, _, _, _, client_id in slots
+    ]
     # Flat index client * rounds + round: client-major, the order in which
     # the stable sort keeps ties.
     offsets = (np.arange(spec.rounds)[:, None] * wave_interval + jitter).T.ravel()
@@ -105,15 +119,8 @@ def fleet_requests(spec: FleetSpec, rate: float) -> list[TimedRequest]:
     for offset, index, round_index in zip(
         offsets[order].tolist(), client_of.tolist(), round_of.tolist()
     ):
-        device, task, client_id, jobs, deadlines = asks[index]
-        request = DecisionRequest(
-            device=device,
-            task=task,
-            jobs=jobs,
-            deadline=deadlines[round_index],
-            client_id=client_id,
-        )
-        stream.append(TimedRequest(offset=offset, request=request))
+        per_round, client_id = asks[index]
+        stream.append(TimedRequest(offset, per_round[round_index].for_client(client_id)))
     return stream
 
 

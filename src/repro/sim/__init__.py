@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.faults.schedule import CHAOS_PRESETS
     from repro.sim.chaos import (
-        CHAOS_PRESETS,
         ChaosRunResult,
         chaos_report_from_trace,
         preset_schedule,
@@ -51,8 +51,8 @@ if TYPE_CHECKING:
         run_fleet,
     )
     from repro.sim.mbo_cost import MBOCostModel
+    from repro.sim.choices import CONTROLLER_NAMES
     from repro.sim.runner import (
-        CONTROLLER_NAMES,
         campaign_key,
         clear_campaign_cache,
         get_persistent_cache,

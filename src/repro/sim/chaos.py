@@ -25,21 +25,11 @@ from repro.core.records import CampaignResult
 from repro.errors import ConfigurationError
 from repro.faults.metrics import ResilienceMetrics
 from repro.faults.recovery import NO_RECOVERY, RecoveryPolicy
-from repro.faults.schedule import FAULT_KINDS, FaultSchedule
+from repro.faults.schedule import CHAOS_PRESETS, FaultSchedule
 from repro.obs.events import Event, read_jsonl
 
 if TYPE_CHECKING:
     from repro.sim.executor import CampaignExecutor
-
-#: Named fault mixes for ``repro chaos run --preset``.  Each preset is the
-#: tuple of kinds :meth:`FaultSchedule.generate` cycles through.
-CHAOS_PRESETS: dict[str, tuple[str, ...]] = {
-    "sensor": ("sensor_outage", "sensor_spike", "dvfs_reject"),
-    "thermal": ("thermal_trip", "straggler"),
-    "transport": ("transport_stall", "transport_loss", "client_dropout"),
-    "mixed": FAULT_KINDS,
-}
-
 
 def preset_schedule(
     preset: str, seed: int, rounds: int, *, n_faults: int = 4

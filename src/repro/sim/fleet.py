@@ -28,6 +28,13 @@ dropout windows join the client's *campaign* key (the chaos engine idles
 the device through them), while the stall windows stay fleet-side and
 delay report arrivals.  Both effects land in the same composition without
 either subsystem knowing about the other.
+
+Import cost: the top level loads only what :class:`FleetSpec` validation
+needs.  The federation engine, selectors, fault schedules and server
+controllers load inside :func:`build_fleet_clients`,
+:func:`campaign_spec_for` and :func:`compose_fleet`, so the decision
+service's request stream, which reads its clients from
+:func:`client_slot`, never loads them.
 """
 
 from __future__ import annotations
@@ -39,29 +46,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.federated.aggregation import FedAvg
-from repro.federated.async_engine import (
-    FLEET_MODES,
-    AsyncFederationEngine,
-    FleetClient,
-    FleetResult,
-)
-from repro.federated.selection import (
-    ClientSelector,
-    EnergyAwareSelector,
-    RandomSelector,
-)
-from repro.federated.hierarchy import HierarchySpec
-from repro.federated.transport import MODEL_SIZES_MBIT, LinkModel
-from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.obs import runtime as obs
-from repro.servertune.controllers import (
-    ServerTuneSpec,
-    make_server_controller,
-    normalize_servertune,
-)
+from repro.federated.choices import FLEET_MODES
+from repro.federated.transport import MODEL_SIZES_MBIT
 
 if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule, FaultSpec
+    from repro.federated.async_engine import FleetClient, FleetResult
+    from repro.federated.selection import ClientSelector
+    from repro.servertune.controllers import ServerTuneSpec
     from repro.sim.cache import PersistentCampaignCache
     from repro.sim.executor import CampaignSpec, ProgressCallback
 
@@ -134,9 +126,9 @@ class FleetSpec:
                 f"unknown fleet mode {self.mode!r}; available: "
                 f"{', '.join(FLEET_MODES)}"
             )
-        if self.deadline_ratio <= 0:
+        if not (math.isfinite(self.deadline_ratio) and self.deadline_ratio > 0):
             raise ConfigurationError(
-                f"deadline_ratio must be positive, got {self.deadline_ratio}"
+                f"deadline_ratio must be positive and finite, got {self.deadline_ratio}"
             )
         for name, values in (
             ("devices", self.devices),
@@ -159,17 +151,17 @@ class FleetSpec:
             raise ConfigurationError(
                 f"participants must be >= 1 or None, got {self.participants}"
             )
-        if self.over_selection < 1.0:
+        if not (math.isfinite(self.over_selection) and self.over_selection >= 1.0):
             raise ConfigurationError(
-                f"over_selection must be >= 1, got {self.over_selection}"
+                f"over_selection must be finite and >= 1, got {self.over_selection}"
             )
         if self.buffer_size < 1:
             raise ConfigurationError(
                 f"buffer_size must be >= 1, got {self.buffer_size}"
             )
-        if self.staleness_exponent < 0:
+        if not (math.isfinite(self.staleness_exponent) and self.staleness_exponent >= 0):
             raise ConfigurationError(
-                f"staleness_exponent must be >= 0, got {self.staleness_exponent}"
+                f"staleness_exponent must be finite and >= 0, got {self.staleness_exponent}"
             )
         if self.max_staleness is not None and self.max_staleness < 0:
             raise ConfigurationError(
@@ -212,6 +204,8 @@ def _client_chaos(
     roll = _stable_seed(f"fleet-chaos/{spec.chaos_seed}/{client_id}") % 10_000
     if roll >= int(spec.chaos_fraction * 10_000):
         return None, ()
+    from repro.faults.schedule import FaultSchedule
+
     schedule = FaultSchedule.generate(
         _stable_seed(
             f"fleet-fault/{spec.chaos_seed}/{device}/{task}/{controller}/{trace_seed}"
@@ -229,25 +223,36 @@ def _client_chaos(
     return campaign_schedule, stalls
 
 
+def client_slot(spec: FleetSpec, index: int) -> tuple[str, str, str, int, int, str]:
+    """Client ``index``'s (device, task, controller, archetype, trace seed, id).
+
+    Device, task and controller are assigned on interleaved cycles so
+    every attribute mixes independently; ``archetypes`` pools clients
+    onto ``index % archetypes`` shared trace seeds.  Pure index
+    arithmetic: the fleet population and the decision service's request
+    stream (:func:`repro.service.loadgen.fleet_requests`) both assign
+    their clients here, and the stream builds no client object.
+    """
+    nd, nt = len(spec.devices), len(spec.tasks)
+    device = spec.devices[index % nd]
+    task = spec.tasks[(index // nd) % nt]
+    controller = spec.controllers[(index // (nd * nt)) % len(spec.controllers)]
+    archetype = index % spec.archetypes if spec.archetypes is not None else index
+    return device, task, controller, archetype, spec.seed + archetype, f"client-{index:04d}"
+
+
 def build_fleet_clients(spec: FleetSpec) -> list[FleetClient]:
     """Materialize the fleet population (traces still empty).
 
-    Device, task and controller are assigned on interleaved cycles so
-    every attribute mixes independently; sample counts and upload seeds
-    hash from the client id, making each client's transport behaviour a
-    pure function of the fleet spec.
+    Each client's archetype comes from :func:`client_slot`; sample counts
+    and upload seeds hash from the client id, making each client's
+    transport behaviour a pure function of the fleet spec.
     """
-    nd, nt, nc = len(spec.devices), len(spec.tasks), len(spec.controllers)
+    from repro.federated.async_engine import FleetClient
+
     clients: list[FleetClient] = []
     for index in range(spec.n_clients):
-        device = spec.devices[index % nd]
-        task = spec.tasks[(index // nd) % nt]
-        controller = spec.controllers[(index // (nd * nt)) % nc]
-        archetype = (
-            index % spec.archetypes if spec.archetypes is not None else index
-        )
-        trace_seed = spec.seed + archetype
-        client_id = f"client-{index:04d}"
+        device, task, controller, _, trace_seed, client_id = client_slot(spec, index)
         campaign_schedule, stalls = _client_chaos(
             spec, client_id, device, task, controller, trace_seed
         )
@@ -277,6 +282,7 @@ def campaign_spec_for(client: FleetClient, spec: FleetSpec) -> CampaignSpec:
     deadline budget, so a tuned fleet must never reuse a static fleet's
     traces (or vice versa).
     """
+    from repro.servertune.controllers import normalize_servertune
     from repro.sim.executor import CampaignSpec
 
     return CampaignSpec(
@@ -359,6 +365,17 @@ def compose_fleet(
     changes the aggregation arithmetic, which is why it lives on the
     spec.
     """
+    from repro.federated.aggregation import FedAvg
+    from repro.federated.async_engine import AsyncFederationEngine
+    from repro.federated.hierarchy import HierarchySpec
+    from repro.federated.selection import EnergyAwareSelector, RandomSelector
+    from repro.federated.transport import LinkModel
+    from repro.obs import runtime as obs
+    from repro.servertune.controllers import (
+        make_server_controller,
+        normalize_servertune,
+    )
+
     target = spec.effective_participants()
     if spec.mode == "semisync":
         selection_size = min(

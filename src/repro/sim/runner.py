@@ -32,6 +32,7 @@ from repro.federated.task import FLTaskSpec, cifar10_vit, imagenet_resnet50, imd
 from repro.hardware.device import SimulatedDevice
 from repro.hardware.devices import get_device
 from repro.hardware.thermal import ThermalModel
+from repro.sim.choices import CONTROLLER_NAMES
 from repro.sim.mbo_cost import MBOCostModel
 
 #: The canonical campaign cache key: a flat tuple of hashable scalars
@@ -54,16 +55,6 @@ _TASKS: dict[str, Callable[[], FLTaskSpec]] = {
     "resnet50": imagenet_resnet50,
     "lstm": imdb_lstm,
 }
-
-#: Controller names accepted by :func:`make_controller` / :func:`run_campaign`.
-CONTROLLER_NAMES: tuple[str, ...] = (
-    "bofl",
-    "performant",
-    "oracle",
-    "random_search",
-    "linear_pace",
-    "ondemand",
-)
 
 #: The per-process memo.  Values are private copies: lookups return a
 #: defensive deepcopy so callers can mutate their result (``_annotate``

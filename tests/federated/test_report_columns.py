@@ -119,6 +119,17 @@ class TestColumnObjectIdentity:
         if chaos:
             assert any(r.phase == "dropped" for c in clients for r in c.records)
 
+    @pytest.mark.parametrize("mode", ["sync", "semisync"])
+    def test_selector_free_rounds_share_one_participant_list(self, mode):
+        spec = FleetSpec(**BASE, mode=mode)
+        clients = prepare_fleet(spec)
+        result = compose_fleet(spec, clients)
+        shared = result.rounds[0].participants
+        assert len(result.rounds) > 1 and len(shared) == spec.n_clients
+        assert all(rnd.participants is shared for rnd in result.rounds)
+        assert shared is result.rounds[0].columns.client_ids
+        assert result.rounds == reference_compose_fleet(spec, clients).rounds
+
     def test_a_report_list_round_keeps_its_list(self):
         report = FleetReport("a", 0, 1.0, 0.5, 0.5, 2.0, False, weight=3.0)
         rnd = async_engine.FleetRound(0, 0.0, 1.0)

@@ -1,5 +1,6 @@
 """Tests for the pace-decision request/response schema."""
 
+import dataclasses
 import json
 
 import pytest
@@ -95,6 +96,21 @@ class TestDecisionRequest:
             _request(deadline=float("nan"))
         with pytest.raises(ConfigurationError):
             _request(jobs=10.9)
+
+    def test_for_client_equals_the_validated_construction(self):
+        question = _request(jobs=10.0, deadline=42.5, safety_margin=0.05)
+        request = question.for_client("client-0007")
+        built = _request(jobs=10, deadline=42.5, safety_margin=0.05, client_id="client-0007")
+        assert type(request) is DecisionRequest
+        assert request == built and hash(request) == hash(built)
+        assert request_key_hash(request) == request_key_hash(built) == request_key_hash(question)
+        assert type(request.jobs) is int
+        assert request.to_dict() == built.to_dict()
+        assert question.client_id == ""
+
+    def test_for_client_sets_every_field_in_field_order(self):
+        request = _request().for_client("c")
+        assert list(vars(request)) == [f.name for f in dataclasses.fields(DecisionRequest)]
 
 
 class TestDecisionPlan:

@@ -1,6 +1,7 @@
 """Unit tests for the fleet orchestration layer (repro.sim.fleet)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.sim.fleet import (
     FleetSpec,
     build_fleet_clients,
     campaign_spec_for,
+    client_slot,
     compose_fleet,
     fleet_report_from_trace,
     fleet_summary,
@@ -61,10 +63,42 @@ class TestFleetSpecValidation:
         with pytest.raises(ConfigurationError):
             FleetSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["deadline_ratio", "over_selection", "staleness_exponent"]
+    )
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be .*finite"):
+            FleetSpec(**{field: value})
+
     def test_effective_participants_caps_at_fleet_size(self):
         assert FleetSpec(n_clients=10).effective_participants() == 10
         assert FleetSpec(n_clients=10, participants=4).effective_participants() == 4
         assert FleetSpec(n_clients=10, participants=40).effective_participants() == 10
+
+
+class TestClientSlot:
+    def test_interleaved_cycles_and_archetype_pooling(self):
+        spec = FleetSpec(
+            n_clients=13, devices=("agx", "tx2"), tasks=("vit", "lstm", "resnet50"),
+            controllers=("bofl", "performant"), archetypes=5, seed=10,
+        )
+        assert client_slot(spec, 0) == ("agx", "vit", "bofl", 0, 10, "client-0000")
+        assert client_slot(spec, 7) == ("tx2", "vit", "performant", 2, 12, "client-0007")
+        assert client_slot(spec, 9) == ("tx2", "lstm", "performant", 4, 14, "client-0009")
+        unpooled = dataclasses.replace(spec, archetypes=None)
+        assert client_slot(unpooled, 7)[3:5] == (7, 17)
+
+    def test_population_takes_its_clients_from_the_slots(self):
+        spec = FleetSpec(n_clients=30, archetypes=4, seed=3, chaos_fraction=0.5)
+        for client in build_fleet_clients(spec):
+            device, task, controller, _, trace_seed, client_id = client_slot(
+                spec, client.index
+            )
+            assert (device, task, controller, trace_seed, client_id) == (
+                client.device, client.task, client.controller,
+                client.trace_seed, client.client_id,
+            )
 
 
 class TestBuildFleetClients:

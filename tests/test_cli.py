@@ -212,6 +212,21 @@ class TestFleetCommand:
         assert "static fast drain" in capsys.readouterr().err
         assert prepared == []
 
+    def test_run_rejects_a_nan_staleness_exponent(self, monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(
+            "repro.sim.fleet.prepare_fleet", lambda spec, **kw: prepared.append(spec)
+        )
+        code = main(
+            ["fleet", "run", *self.FAST, "--mode", "async", "--buffer", "4",
+             "--staleness-exponent", "nan"]
+        )
+        assert code == 1
+        assert "staleness_exponent must be finite and >= 0, got nan" in (
+            capsys.readouterr().err
+        )
+        assert prepared == []
+
     def test_report_on_fleetless_trace_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "perf.jsonl"
         assert main(
@@ -338,6 +353,13 @@ class TestServiceCommands:
     def test_loadtest_rejects_a_nan_rate(self, capsys):
         assert main(["loadtest", "--clients", "6", "--rounds", "1", "--rate", "nan"]) == 1
         assert "rate must be a finite positive number, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_loadtest_rejects_a_non_finite_ratio(self, capsys, ratio):
+        argv = ["loadtest", "--clients", "6", "--rounds", "1", "--passes", "1"]
+        assert main([*argv, "--ratio", ratio]) == 1
+        err = capsys.readouterr().err
+        assert f"deadline_ratio must be positive and finite, got {float(ratio)}" in err
 
     def test_loadtest_rejects_a_nan_timeout(self, capsys):
         argv = ["loadtest", "--clients", "6", "--rounds", "1", "--passes", "1"]

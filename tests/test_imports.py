@@ -8,7 +8,8 @@ needs it.
 A run loads only the layers it uses: importing a package loads none of
 its submodules (re-exports are lazy, see ``repro._lazy``), and the
 closures below pin the layers that the paper's campaign grid, the
-decision service and ``import repro.cli`` must never load.
+decision service, a bare ``FleetSpec``, ``import repro.cli`` and the
+CLI's argparse tree must never load.
 """
 
 import json
@@ -82,6 +83,19 @@ GRID_UNUSED = (
     "repro.servertune.pbt",
 )
 
+#: What ``repro.sim.fleet`` loads only where it builds or composes a fleet.
+FLEET_ENGINE = (
+    "repro.federated.async_engine",
+    "repro.federated.aggregation",
+    "repro.federated.selection",
+    "repro.federated.hierarchy",
+    "repro.faults",
+    "repro.faults.schedule",
+    "repro.servertune",
+    "repro.servertune.controllers",
+    "repro.core.records",
+)
+
 #: What a fleet request stream served by the decision service never runs.
 SERVICE_UNUSED = (
     "repro.core.controller",
@@ -92,6 +106,7 @@ SERVICE_UNUSED = (
     "repro.sim.chaos",
     "repro.faults.engine",
     "repro.federated.vector_engine",
+    *FLEET_ENGINE,
 )
 
 #: Engines the CLI imports only inside the handlers that run them.
@@ -100,6 +115,15 @@ CLI_UNUSED = (
     "repro.sim.fleet",
     "repro.service.engine",
     "repro.federated.async_engine",
+)
+
+#: Engines whose argparse choices ``build_parser`` takes from plain tuples.
+PARSER_UNUSED = (
+    "repro.sim.runner",
+    "repro.sim.chaos",
+    "repro.sim.executor",
+    "repro.federated.async_engine",
+    "repro.servertune.controllers",
 )
 
 _GRID_RUN = """
@@ -213,9 +237,24 @@ def test_decision_service_loads_only_its_layers():
     ) == []
 
 
+def test_fleet_spec_loads_no_fleet_engine():
+    loaded = _repro_loaded(
+        "from repro.sim.fleet import FleetSpec\n"
+        "FleetSpec(n_clients=40, rounds=4, mode='async', chaos_fraction=0.5)"
+    )
+    assert "repro.sim.fleet" in loaded
+    assert [m for m in FLEET_ENGINE if m in loaded] == []
+
+
 def test_cli_import_loads_no_engine():
     loaded = _repro_loaded("import repro.cli")
     assert [m for m in CLI_UNUSED if m in loaded] == []
+
+
+def test_cli_parser_loads_no_engine():
+    loaded = _repro_loaded("from repro.cli import build_parser\nbuild_parser()")
+    assert "repro.sim.fleet" in loaded  # FLEET_SELECTORS: the parser's own import
+    assert [m for m in PARSER_UNUSED if m in loaded] == []
 
 
 def test_inline_executor_run_loads_no_process_pool():

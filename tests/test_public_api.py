@@ -36,6 +36,27 @@ class TestTopLevel:
             assert hasattr(mod, name), f"{module}.{name}"
 
 
+class TestChoiceTuples:
+    """The CLI's choice tuples have one definition each, re-exported by
+    the engines that used to define them."""
+
+    @pytest.mark.parametrize(
+        ("home", "name", "old_paths"),
+        [
+            ("repro.federated.choices", "FLEET_MODES",
+             ("repro.federated.async_engine", "repro.federated")),
+            ("repro.federated.choices", "FLEET_DETAILS",
+             ("repro.federated.async_engine",)),
+            ("repro.faults.schedule", "CHAOS_PRESETS", ("repro.sim.chaos", "repro.sim")),
+            ("repro.sim.choices", "CONTROLLER_NAMES", ("repro.sim.runner", "repro.sim")),
+        ],
+    )
+    def test_old_import_paths_resolve_to_the_one_definition(self, home, name, old_paths):
+        value = getattr(importlib.import_module(home), name)
+        for path in old_paths:
+            assert getattr(importlib.import_module(path), name) is value, path
+
+
 class TestDocumentationCoverage:
     """Every public callable on the top-level API must carry a docstring."""
 
