@@ -30,13 +30,12 @@ Twelve subcommands:
 * ``trace`` — replay a recorded observability trace (``campaign
   --trace out.jsonl`` records one) as a summary or as the trace-derived
   Table 3 / Fig. 13 views;
-* ``lint`` — run the determinism-aware static-analysis rules over the
-  source tree (``docs/static_analysis.md``); exits non-zero on
-  violations, ``--format json`` is the stable CI interface;
-* ``analyze`` — the whole-program companion to ``lint``: an
-  interprocedural call-graph pass proving cross-module determinism
-  contracts (taint, key completeness, registry closure, process-boundary
-  safety), with SARIF output and a committed-baseline ratchet.
+* ``analyze`` — determinism-aware static analysis of the source tree
+  (``docs/static_analysis.md``): per-module rules (wall-clock reads,
+  unseeded randomness, ...) and an interprocedural call-graph pass
+  proving cross-module contracts (taint, key completeness, registry
+  closure, process-boundary safety), with JSON/SARIF output and a
+  committed-baseline ratchet.
 
 ``--workers N`` fans campaign grids out over worker processes through
 :class:`repro.sim.CampaignExecutor`; results are identical to the serial
@@ -359,35 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Table 3 / Fig. 13 artifacts",
     )
 
-    lint = commands.add_parser(
-        "lint", help="determinism-aware static analysis (see docs/static_analysis.md)"
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=None, metavar="PATH",
-        help="files or directories to check (default: the src/ tree)",
-    )
-    lint.add_argument(
-        "--format", default="human", choices=("human", "json"),
-        help="report format (json is the stable CI interface)",
-    )
-    lint.add_argument(
-        "--select", default=None, metavar="RULE[,RULE...]",
-        help="run only these rule ids (default: every registered rule)",
-    )
-    lint.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="repo root anchoring rule scopes (default: discovered from "
-        "the first path's ancestors via pyproject.toml)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule registry (id, scope, rationale) and exit",
-    )
-
     analyze = commands.add_parser(
         "analyze",
-        help="whole-program determinism analysis: interprocedural taint, "
-        "key completeness, registry closure, process-boundary safety",
+        help="determinism-aware static analysis: per-module rules plus "
+        "interprocedural taint, key completeness, registry closure and "
+        "process-boundary safety (see docs/static_analysis.md)",
     )
     analyze.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",
@@ -399,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--root", default=None, metavar="DIR",
-        help="repo root anchoring relative paths (default: discovered from "
-        "the first path's ancestors via pyproject.toml)",
+        help="repo root anchoring checker scopes and relative paths "
+        "(default: discovered from the first path's ancestors via "
+        "pyproject.toml)",
     )
     analyze.add_argument(
         "--sarif", default=None, metavar="FILE",
@@ -421,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--list-checkers", action="store_true",
-        help="print the checker registry (id, contract) and exit",
+        help="print every checker id (summary, per-module scope) and exit",
     )
     return parser
 
@@ -931,67 +907,35 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return obs.render_view(events, args.view)
 
 
-def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
-    """Returns (rendered report, exit code): 0 clean, 1 violations."""
-    from repro.devtools import lint as devlint
-
-    if args.list_rules:
-        lines = ["Registered repro lint rules:"]
-        for rule in devlint.iter_rules():
-            lines.append(f"  {rule.id:18s} {rule.summary}")
-            lines.append(f"  {'':18s} scope: {', '.join(rule.include)}"
-                         + (f"  exempt: {', '.join(rule.exempt)}" if rule.exempt else ""))
-        return "\n".join(lines), 0
-
-    root = pathlib.Path(args.root) if args.root else None
-    if args.paths:
-        paths = [pathlib.Path(p) for p in args.paths]
-    else:
-        anchor = root if root is not None else devlint.find_repo_root(
-            pathlib.Path.cwd()
-        )
-        paths = [anchor / "src"]
-    select = args.select.split(",") if args.select else None
-    report = devlint.lint_paths(paths, root=root, select=select)
-    rendered = (
-        report.render_json() if args.format == "json" else report.render_human()
-    )
-    return rendered, 0 if report.ok else 1
-
-
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
     """Returns (rendered report, exit code): 0 clean/ratcheted, 1 findings."""
     from repro.devtools import analyze as devanalyze
 
     if args.list_checkers:
         lines = ["Registered repro analyze checkers:"]
-        for checker_id in devanalyze.CHECKER_IDS:
-            if checker_id == "parse-error":
-                continue
-            lines.append(f"  {checker_id:20s} {devanalyze.CHECKER_SUMMARIES[checker_id]}")
+        for checker in devanalyze.CHECKERS:
+            lines.append(f"  {checker.id:20s} {checker.summary}")
+            if checker.scope is not None:
+                exempt = checker.scope.exempt
+                lines.append(f"  {'':20s} scope: {', '.join(checker.scope.include)}"
+                             + (f"  exempt: {', '.join(exempt)}" if exempt else ""))
         return "\n".join(lines), 0
 
-    root = pathlib.Path(args.root) if args.root else None
-    if args.paths:
-        paths = [pathlib.Path(p) for p in args.paths]
-        anchor = root if root is not None else _find_devtools_root(paths[0])
+    paths = [pathlib.Path(p) for p in args.paths]
+    if args.root:
+        anchor = pathlib.Path(args.root)
     else:
-        anchor = root if root is not None else _find_devtools_root(
-            pathlib.Path.cwd()
-        )
-        paths = [anchor / "src"]
-    report = devanalyze.analyze_paths(paths, root=anchor)
+        anchor = devanalyze.find_repo_root(paths[0] if paths else pathlib.Path.cwd())
+    report = devanalyze.analyze_paths(paths or [anchor / "src"], root=anchor)
     if args.sarif:
-        pathlib.Path(args.sarif).write_text(
-            report.render_sarif() + "\n", encoding="utf-8"
-        )
+        _write_atomically(pathlib.Path(args.sarif), report.render_sarif() + "\n")
     baseline_path = (
         pathlib.Path(args.baseline)
         if args.baseline
         else anchor / "analysis-baseline.json"
     )
     if args.write_baseline:
-        devanalyze.write_baseline(baseline_path, report)
+        _write_atomically(baseline_path, devanalyze.render_baseline(report))
         return f"repro analyze: baseline written to {baseline_path}", 0
     if args.ratchet:
         baseline = devanalyze.load_baseline(baseline_path)
@@ -1003,12 +947,6 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
         "human": report.render_human,
     }[args.format]()
     return rendered, 0 if report.ok else 1
-
-
-def _find_devtools_root(start: pathlib.Path) -> pathlib.Path:
-    from repro.devtools.lint import find_repo_root
-
-    return find_repo_root(start)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1043,10 +981,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(_cmd_cache(args))
         elif args.command == "trace":
             print(_cmd_trace(args))
-        elif args.command == "lint":
-            rendered, code = _cmd_lint(args)
-            print(rendered)
-            return code
         elif args.command == "analyze":
             rendered, code = _cmd_analyze(args)
             print(rendered)

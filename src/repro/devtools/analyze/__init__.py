@@ -1,10 +1,12 @@
-"""Whole-program determinism analysis (``repro analyze``).
+"""Determinism-aware static analysis (``repro analyze``).
 
-Where ``repro.devtools.lint`` checks one file at a time, this package
-builds a project-wide module/call graph over ``src/repro`` and proves
-the cross-module contracts the lint cannot see: interprocedural
-determinism taint, cache-key completeness, obs-registry closure, and
-process-boundary safety.  See ``docs/static_analysis.md``.
+One engine reads every ``.py`` under the given paths once into a
+project-wide module/call graph, then runs six per-module checkers (a
+wall-clock read, an unseeded ``random.*`` call, an ``assert`` used as
+validation, ...) and four whole-program checkers that prove the
+cross-module contracts: interprocedural determinism taint, cache-key
+completeness, obs-registry closure, and process-boundary safety.  See
+``docs/static_analysis.md``.
 """
 
 from typing import TYPE_CHECKING
@@ -17,19 +19,19 @@ if TYPE_CHECKING:
         DEFAULT_CONFIG,
         AnalyzeConfig,
         analyze_paths,
+        find_repo_root,
     )
     from repro.devtools.analyze.findings import (
         ANALYSIS_REPORT_VERSION,
         BASELINE_VERSION,
         CHECKER_IDS,
-        CHECKER_SUMMARIES,
+        CHECKERS,
         AnalysisReport,
         Finding,
         RatchetResult,
         load_baseline,
         ratchet,
         render_baseline,
-        write_baseline,
     )
     from repro.devtools.analyze.keys import DEFAULT_CONTRACTS, KeyContract
 
@@ -38,8 +40,8 @@ __all__ = [
     "AnalysisReport",
     "AnalyzeConfig",
     "BASELINE_VERSION",
+    "CHECKERS",
     "CHECKER_IDS",
-    "CHECKER_SUMMARIES",
     "DEFAULT_CONFIG",
     "DEFAULT_CONTRACTS",
     "DEFAULT_WORKER_ROOTS",
@@ -47,10 +49,10 @@ __all__ = [
     "KeyContract",
     "RatchetResult",
     "analyze_paths",
+    "find_repo_root",
     "load_baseline",
     "ratchet",
     "render_baseline",
-    "write_baseline",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__)

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.devtools.analyze.callgraph import CallGraph
 from repro.devtools.analyze.findings import Finding
 from repro.devtools.analyze.project import ModuleInfo, ProjectIndex
-from repro.devtools.lint.rules import dotted_parts
+from repro.devtools.analyze.rules import dotted_parts
 
 CHECKER_ID = "process-boundary"
 

@@ -22,7 +22,7 @@ from repro.devtools.analyze.project import (
     ModuleInfo,
     ProjectIndex,
 )
-from repro.devtools.lint.rules import dotted_parts
+from repro.devtools.analyze.rules import dotted_parts
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """The ``repro analyze`` driver: index, graph, checkers, suppressions.
 
 One run = parse every ``.py`` under the given paths into a
-:class:`ProjectIndex`, build the :class:`CallGraph`, run the four
-contract checkers, drop findings covered by a justified same-line
-``# repro: allow[<checker-id>] -- <why>`` comment (the exact suppression
-syntax ``repro lint`` uses — misuse of the comment itself is lint's
-job), and return a sorted :class:`AnalysisReport`.
+:class:`ProjectIndex`, build the :class:`CallGraph`, run the six
+per-module checkers over the modules in their scope and the four
+whole-program contract checkers over the graph, apply the one
+suppression pass, and return a sorted :class:`AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -20,14 +19,19 @@ from repro.devtools.analyze.callgraph import CallGraph
 from repro.devtools.analyze.findings import (
     AnalysisReport,
     CHECKER_IDS,
+    CHECKERS,
     Finding,
 )
 from repro.devtools.analyze.keys import DEFAULT_CONTRACTS, KeyContract, check_keys
 from repro.devtools.analyze.project import ProjectIndex
 from repro.devtools.analyze.registry import PLUMBING_EVENT_KINDS, check_registries
+from repro.devtools.analyze.rules import MODULE_CHECKERS
 from repro.devtools.analyze.taint import DEFAULT_TAINT_EXEMPT, check_taint
-from repro.devtools.lint.engine import find_repo_root
 from repro.errors import ConfigurationError
+
+#: Ids an allow-comment may name: all but ``suppression``, whose findings
+#: are about the allow-comments themselves.
+_ALLOWABLE_IDS = frozenset(CHECKER_IDS) - {"suppression"}
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,28 @@ class AnalyzeConfig:
 DEFAULT_CONFIG = AnalyzeConfig()
 
 
+def find_repo_root(start: pathlib.Path) -> pathlib.Path:
+    """The nearest ancestor of ``start`` holding a ``pyproject.toml``."""
+    current = start.resolve()
+    if current.is_file():
+        current = current.parent
+    for candidate in (current, *current.parents):
+        if (candidate / "pyproject.toml").is_file():
+            return candidate
+    return current
+
+
 def analyze_paths(
     paths: Sequence[pathlib.Path],
     *,
     root: Optional[pathlib.Path] = None,
     config: AnalyzeConfig = DEFAULT_CONFIG,
 ) -> AnalysisReport:
-    """Run every checker over the project rooted at ``root``."""
+    """Run every checker over the project rooted at ``root``.
+
+    ``root`` anchors the repo-relative paths that checker scopes and
+    report locations use; by default it is discovered from the first path.
+    """
     paths = [pathlib.Path(p) for p in paths]
     if not paths:
         raise ConfigurationError("analyze_paths needs at least one path")
@@ -68,6 +87,12 @@ def analyze_paths(
                 message=f"file does not parse: {message}",
             )
         )
+    for info in project.files:
+        for checker in CHECKERS:
+            if checker.scope is not None and checker.scope.applies_to(
+                info.source.relpath
+            ):
+                findings.extend(MODULE_CHECKERS[checker.id](info))
     findings.extend(check_taint(project, graph, config.taint_exempt))
     findings.extend(check_keys(project, graph, config.contracts))
     findings.extend(check_registries(project, graph, config.plumbing_kinds))
@@ -76,8 +101,8 @@ def analyze_paths(
 
     report = AnalysisReport(
         findings=findings,
-        checked_modules=len(project.modules) + len(project.parse_failures),
-        checker_ids=[cid for cid in CHECKER_IDS if cid != "parse-error"],
+        checked_modules=len(project.files) + len(project.parse_failures),
+        checker_ids=list(CHECKER_IDS),
     )
     report.sort()
     return report
@@ -86,23 +111,37 @@ def analyze_paths(
 def _apply_suppressions(
     project: ProjectIndex, findings: list[Finding]
 ) -> list[Finding]:
-    """Drop findings with a justified same-line allow-comment.
+    """Drop findings under a justified same-line allow; flag misused allows.
 
-    Unjustified or unknown-id suppression comments are *lint's* findings
-    (rule ``suppression``), not duplicated here.
+    A bare allow does not suppress and is reported, as is one naming an
+    id no checker has.
     """
-    justified: dict[str, set[tuple[str, int]]] = {}
-    for info in project.modules.values():
-        pairs = {
-            (s.rule, s.line)
-            for s in info.source.suppressions()
-            if s.justification and s.rule in CHECKER_IDS
-        }
-        if pairs:
-            justified[info.source.relpath] = pairs
-    kept = []
-    for finding in findings:
-        if (finding.checker, finding.line) in justified.get(finding.path, set()):
-            continue
-        kept.append(finding)
+    allowed = {
+        (info.source.relpath, s.checker, s.line)
+        for info in project.files
+        for s in info.source.suppressions
+        if s.justification
+    }
+    kept = [f for f in findings if (f.path, f.checker, f.line) not in allowed]
+    for info in project.files:
+        for suppression in info.source.suppressions:
+            if not suppression.justification:
+                message = (
+                    f"suppression of [{suppression.checker}] needs a "
+                    "justification: '# repro: allow"
+                    f"[{suppression.checker}] -- <why this is safe>'"
+                )
+            elif suppression.checker not in _ALLOWABLE_IDS:
+                message = f"suppression names unknown rule {suppression.checker!r}"
+            else:
+                continue
+            kept.append(
+                Finding(
+                    checker="suppression",
+                    path=info.source.relpath,
+                    line=suppression.line,
+                    col=0,
+                    message=message,
+                )
+            )
     return kept

@@ -1,12 +1,15 @@
-"""Findings, reports, SARIF output and the baseline ratchet.
+"""The checker table, findings, reports, SARIF output and the ratchet.
 
-A :class:`Finding` is the analyzer's counterpart to the lint engine's
-``Violation``: one contract breach at one source location.  Everything
-downstream of the checkers is deterministic by construction — findings
-sort on ``(path, line, col, checker, message)``, every serializer dumps
-with ``sort_keys=True`` and no timestamps, and the baseline is a sorted
-multiset of content fingerprints so re-running the analyzer twice (or on
-another machine) yields byte-identical artifacts.
+:data:`CHECKERS` is the one table of finding ids: six per-module
+checkers (each with the repo-relative scope of files it reads), four
+whole-program checkers, and the engine's own ``parse-error`` and
+``suppression`` ids.  A :class:`Finding` is one breach at one source
+location.  Everything downstream of the checkers is deterministic by
+construction — findings sort on ``(path, line, col, checker, message)``,
+every serializer dumps with ``sort_keys=True`` and no timestamps, and
+the baseline is a sorted multiset of content fingerprints so re-running
+the analyzer twice (or on another machine) yields byte-identical
+artifacts.
 
 The fingerprint deliberately omits line/column: moving a violating call
 a few lines does not mint a "new" violation, so the ratchet only fires
@@ -15,11 +18,13 @@ when genuinely new contract breaches appear.
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import pathlib
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -29,29 +34,116 @@ ANALYSIS_REPORT_VERSION = 1
 #: Bump when the baseline layout or fingerprint recipe changes.
 BASELINE_VERSION = 1
 
-#: Checker id -> one-line summary (drives --list-checkers and SARIF rules).
-CHECKER_SUMMARIES: dict[str, str] = {
-    "determinism-taint": (
-        "no wall-clock / unseeded-RNG / filesystem-ordering value may reach "
-        "trace emission, cache-key construction, or decision-plan solving"
-    ),
-    "key-completeness": (
-        "every field of a keyed spec dataclass flows into its cache/token "
-        "key, or carries an explicit '# key_exempt: <why>' marker"
-    ),
-    "registry-closure": (
-        "every emitted obs event kind / counter name is registered, and "
-        "every registered one has at least one emitter"
-    ),
-    "process-boundary": (
-        "no mutable module-level state is written on paths reachable from "
-        "worker entry points or the service coalescing path"
-    ),
-    "parse-error": "the file must parse before any contract can be checked",
-}
 
-#: Stable, sorted tuple of every analyzer checker id.
-CHECKER_IDS: tuple[str, ...] = tuple(sorted(CHECKER_SUMMARIES))
+def glob_match(relpath: str, pattern: str) -> bool:
+    """``fnmatch`` with ``**`` spanning directory separators."""
+    if fnmatch.fnmatch(relpath, pattern):
+        return True
+    # "pkg/**" should also match "pkg" itself and files directly under it.
+    if pattern.endswith("/**"):
+        base = pattern[:-3]
+        return relpath == base or relpath.startswith(base + "/")
+    return False
+
+
+@dataclass(frozen=True)
+class Scope:
+    """The files a per-module checker reads, as repo-relative globs.
+
+    ``exempt`` is the *structural* allowlist (e.g. the two timing modules
+    for ``wall-clock``), distinct from per-line allow-comments, which
+    require a justification.
+    """
+
+    include: tuple[str, ...]
+    exempt: tuple[str, ...] = ()
+
+    def applies_to(self, relpath: str) -> bool:
+        if not any(glob_match(relpath, pattern) for pattern in self.include):
+            return False
+        return not any(glob_match(relpath, pattern) for pattern in self.exempt)
+
+
+@dataclass(frozen=True)
+class Checker:
+    """One finding id: per-module checkers carry a scope, the rest none."""
+
+    id: str
+    summary: str
+    scope: Optional[Scope] = None
+
+
+_LIBRARY = Scope(include=("src/repro/**",))
+
+#: Every finding id, in id order (drives --list-checkers and SARIF rules).
+CHECKERS: tuple[Checker, ...] = (
+    Checker("assert-validation", "no assert-as-validation in library code", _LIBRARY),
+    Checker(
+        "determinism-taint",
+        "no wall-clock / unseeded-RNG / filesystem-ordering value may reach "
+        "trace emission, cache-key construction, or decision-plan solving",
+    ),
+    Checker(
+        "float-equality", "no ==/!= on latency/energy objective floats", _LIBRARY
+    ),
+    Checker(
+        "key-completeness",
+        "every field of a keyed spec dataclass flows into its cache/token "
+        "key, or carries an explicit '# key_exempt: <why>' marker",
+    ),
+    Checker(
+        "obs-event-kind",
+        "events emitted only with kinds from the typed registry",
+        # The obs package itself is the plumbing that forwards kinds.
+        Scope(include=("src/repro/**",), exempt=("src/repro/obs/**",)),
+    ),
+    Checker(
+        "parse-error", "the file must parse before any contract can be checked"
+    ),
+    Checker(
+        "pickle-safety",
+        "no lambdas/closures crossing the process-pool boundary",
+        _LIBRARY,
+    ),
+    Checker(
+        "process-boundary",
+        "no mutable module-level state is written on paths reachable from "
+        "worker entry points or the service coalescing path",
+    ),
+    Checker(
+        "registry-closure",
+        "every emitted obs event kind / counter name is registered, and "
+        "every registered one has at least one emitter",
+    ),
+    Checker(
+        "suppression",
+        "every '# repro: allow[id]' names known ids and gives a justification",
+    ),
+    Checker(
+        "unseeded-random",
+        "no module-level random.* / np.random.* API in library code",
+        _LIBRARY,
+    ),
+    Checker(
+        "wall-clock",
+        "no wall-clock reads outside the allowlisted timing modules",
+        # The two modules whose whole point is measuring wall time, and
+        # the benchmark tree (outside src/ but listed for clarity).
+        Scope(
+            include=("src/repro/**",),
+            exempt=(
+                "src/repro/obs/metrics.py",
+                "src/repro/sim/executor.py",
+                "benchmarks/**",
+            ),
+        ),
+    ),
+)
+
+#: Stable, sorted tuple of every finding id.
+CHECKER_IDS: tuple[str, ...] = tuple(sorted(checker.id for checker in CHECKERS))
+
+_SUMMARIES = {checker.id: checker.summary for checker in CHECKERS}
 
 
 @dataclass(frozen=True)
@@ -129,9 +221,9 @@ class AnalysisReport:
             {
                 "id": checker_id,
                 "name": checker_id.replace("-", " ").title().replace(" ", ""),
-                "shortDescription": {"text": CHECKER_SUMMARIES[checker_id]},
+                "shortDescription": {"text": _SUMMARIES[checker_id]},
             }
-            for checker_id in sorted(set(self.checker_ids) | {"parse-error"})
+            for checker_id in sorted(self.checker_ids)
         ]
         results = [
             {
@@ -212,10 +304,6 @@ def render_baseline(report: AnalysisReport) -> str:
         "fingerprints": baseline_fingerprints(report),
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def write_baseline(path: pathlib.Path, report: AnalysisReport) -> None:
-    path.write_text(render_baseline(report), encoding="utf-8")
 
 
 def load_baseline(path: pathlib.Path) -> "Counter[str]":

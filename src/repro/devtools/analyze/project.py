@@ -1,13 +1,14 @@
 """The project index: every module under analysis, parsed once.
 
-Where the lint engine sees one file at a time, the analyzer needs the
-whole program: module names derived from paths, every function and class
-with a stable dotted qualname, dataclass fields (with their
-``# key_exempt`` markers), import aliases resolved through the shared
-lint resolver (absolute *and* relative), and module-level mutable
-bindings.  Everything is plain ``ast`` — no imports of the analyzed code
-ever happen, so fixture trees in tests and the real tree go through the
-exact same path.
+Each ``.py`` file is read, parsed and tokenized exactly once into a
+:class:`SourceFile`; the one tokenize pass collects both comment markers
+(``# repro: allow[...]`` suppressions and ``# key_exempt`` field
+exemptions).  On top of that the index holds what the checkers need:
+module names derived from paths, every function and class with a stable
+dotted qualname, dataclass fields, import aliases (absolute *and*
+relative) and module-level mutable bindings.  Everything is plain
+``ast`` — no imports of the analyzed code ever happen, so fixture trees
+in tests and the real tree go through the exact same path.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from collections.abc import Sequence
 from typing import Optional, Union
 
 from repro._lazy import declared_exports
-from repro.devtools.lint.engine import SourceFile
-from repro.devtools.lint.rules import import_aliases, module_package
+from repro.devtools.analyze.rules import import_aliases
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -33,10 +33,77 @@ _MUTABLE_CONSTRUCTORS = frozenset(
     {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "deque", "Counter"}
 )
 
+#: The allow-comment marker, with an optional justification tail.  The
+#: bracket accepts a comma-separated id list ("allow[wall-clock,
+#: unseeded-random] -- why") so one line hit by several checkers needs
+#: only one comment; the justification is shared by every listed id.
+_SUPPRESSION_RE = re.compile(
+    r"#\s*repro:\s*allow\[(?P<ids>[A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)\]"
+    r"(?:\s*--\s*(?P<why>.*\S))?"
+)
+
 #: ``# key_exempt: <why>`` (or ``-- <why>``) on a dataclass field line.
 _KEY_EXEMPT_RE = re.compile(
     r"#\s*key_exempt\b(?:\s*(?::|--)\s*(?P<why>.*\S))?"
 )
+
+
+@dataclass(frozen=True)
+class Suppression:
+    """One id named by a ``# repro: allow[...]`` comment."""
+
+    checker: str
+    line: int
+    justification: Optional[str]
+
+
+@dataclass
+class SourceFile:
+    """One file on disk, parsed, walked and tokenized once."""
+
+    relpath: str  # repo-root-relative, posix separators
+    tree: ast.Module
+    #: Every node of ``tree`` in ``ast.walk`` order, for the module-wide scans.
+    nodes: list[ast.AST]
+    suppressions: list[Suppression]
+    #: Line -> justification (None when the marker has no reason).
+    key_exempt: dict[int, Optional[str]]
+
+    @classmethod
+    def load(cls, path: pathlib.Path, root: pathlib.Path) -> "SourceFile":
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        suppressions: list[Suppression] = []
+        key_exempt: dict[int, Optional[str]] = {}
+        try:
+            tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+        except tokenize.TokenizeError:  # the ast parse already succeeded
+            tokens = []
+        # Real COMMENT tokens only: a marker quoted in a docstring is inert.
+        for token in tokens:
+            if token.type != tokenize.COMMENT:
+                continue
+            line = token.start[0]
+            match = _SUPPRESSION_RE.search(token.string)
+            if match is not None:
+                for checker in match.group("ids").split(","):
+                    suppressions.append(
+                        Suppression(checker.strip(), line, match.group("why"))
+                    )
+            match = _KEY_EXEMPT_RE.search(token.string)
+            if match is not None:
+                key_exempt[line] = match.group("why")
+        return cls(
+            relpath=_relpath(path, root),
+            tree=tree,
+            nodes=list(ast.walk(tree)),
+            suppressions=suppressions,
+            key_exempt=key_exempt,
+        )
+
+
+def _relpath(path: pathlib.Path, root: pathlib.Path) -> str:
+    return path.resolve().relative_to(root.resolve()).as_posix()
 
 
 def module_name(relpath: str) -> str:
@@ -114,6 +181,9 @@ class ProjectIndex:
 
     root: pathlib.Path
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
+    #: Every parsed file, in walk order: two files can share a dotted name
+    #: (``src/repro/x.py`` and ``repro/x.py``), and each is still checked.
+    files: list[ModuleInfo] = field(default_factory=list)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     parse_failures: list[tuple[str, int, int, str]] = field(default_factory=list)
@@ -127,7 +197,7 @@ class ProjectIndex:
             try:
                 source = SourceFile.load(path, root)
             except SyntaxError as error:
-                relpath = path.resolve().relative_to(root.resolve()).as_posix()
+                relpath = _relpath(path, root)
                 project.parse_failures.append(
                     (relpath, error.lineno or 0, error.offset or 0, error.msg or "")
                 )
@@ -139,27 +209,30 @@ class ProjectIndex:
 
     def _index_module(self, source: SourceFile) -> None:
         name = module_name(source.relpath)
-        package = module_package(source.relpath)
+        is_package = pathlib.PurePosixPath(source.relpath).name == "__init__.py"
+        # Relative imports resolve against the enclosing package: a
+        # package's __init__ is its own, a plain module's is its parent.
+        package = name if is_package else name.rpartition(".")[0]
         info = ModuleInfo(
             name=name,
             package=package,
             source=source,
-            aliases=import_aliases(source.tree, package),
+            aliases=import_aliases(source.nodes, package),
         )
-        if source.relpath.endswith("__init__.py"):
+        if is_package:
             info.exports = {
                 name: f"{origin}.{attr}"
                 for name, (origin, attr) in declared_exports(source.tree).items()
             }
-        exemptions = _key_exempt_comments(source.text)
         for statement in source.tree.body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(info, statement, cls=None)
             elif isinstance(statement, ast.ClassDef):
-                self._index_class(info, statement, exemptions)
+                self._index_class(info, statement, source.key_exempt)
             else:
                 _collect_mutables(info, statement)
         self.modules[name] = info
+        self.files.append(info)
 
     def _index_function(
         self, module: ModuleInfo, node: FunctionNode, cls: Optional[str]
@@ -266,22 +339,6 @@ def _iter_python_files(paths: Sequence[pathlib.Path]) -> list[pathlib.Path]:
             seen.add(resolved)
             ordered.append(candidate)
     return ordered
-
-
-def _key_exempt_comments(text: str) -> dict[int, Optional[str]]:
-    """Line -> justification (None when the marker has no reason)."""
-    found: dict[int, Optional[str]] = {}
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
-    except tokenize.TokenizeError:  # the ast parse already succeeded
-        return found
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _KEY_EXEMPT_RE.search(token.string)
-        if match is not None:
-            found[token.start[0]] = match.group("why")
-    return found
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:

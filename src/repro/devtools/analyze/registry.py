@@ -1,7 +1,8 @@
 """Checker 3 — registry closure for obs event kinds and counter names.
 
-The per-file lint proves each ``emit()`` literal is registered; this
-checker closes the loop in *both* directions, project-wide:
+The per-module ``obs-event-kind`` checker proves each ``emit()`` literal
+is registered; this checker closes the loop in *both* directions,
+project-wide:
 
 * every emitted event kind is in ``repro.obs.events.EVENT_KINDS`` **and**
   every registered kind has at least one emitter (a dead registry entry
@@ -114,7 +115,7 @@ def _emit_uses(
                 continue
             kind = _literal_or_pattern(call.node.args[0])
             if kind is None or "*" in kind:
-                continue  # dynamic kinds are the per-file lint's problem
+                continue  # dynamic kinds are obs-event-kind's problem
             uses.setdefault(kind, []).append(
                 (relpath, call.node.lineno, call.node.col_offset)
             )

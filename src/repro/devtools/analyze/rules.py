@@ -1,47 +1,31 @@
-"""The built-in ``repro lint`` rules.
+"""The six per-module checkers, and the import-aware name resolver.
 
-Each rule guards one reproducibility invariant of this codebase; the
-rationale strings (and ``docs/static_analysis.md``) tie every rule to
-the dynamic guarantee it protects.  Rules self-register on import via
-:func:`repro.devtools.lint.engine.register_rule`.
+Each checker guards one reproducibility invariant of this codebase and
+flags the construct where it appears in one module (a ``time.time()``
+call, a bare ``assert``); the whole-program checkers follow *flows*
+across modules.  A checker takes a :class:`ModuleInfo` — its walked
+tree, repo-relative path and the import-alias map the project index
+built with :func:`import_aliases` — and yields :class:`Finding` s.  Which
+files it reads is its scope in the checker table
+(:data:`repro.devtools.analyze.findings.CHECKERS`); the docstrings below
+tie every checker to the dynamic guarantee it protects.
 """
 
 from __future__ import annotations
 
 import ast
-import pathlib
-from collections.abc import Iterator
-from typing import Optional
+from collections.abc import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Optional
 
-from repro.devtools.lint.engine import Rule, SourceFile, Violation, register_rule
+from repro.devtools.analyze.findings import Finding
 from repro.obs.events import EVENT_KINDS
+
+if TYPE_CHECKING:
+    from repro.devtools.analyze.project import ModuleInfo
 
 # --------------------------------------------------------------------------
 # Import-aware name resolution
 # --------------------------------------------------------------------------
-
-
-def _module_package(relpath: str) -> str:
-    """The dotted package a repo-relative ``.py`` path belongs to.
-
-    ``src/repro/sim/runner.py`` -> ``repro.sim``;
-    ``src/repro/sim/__init__.py`` -> ``repro.sim`` (the package itself).
-    Paths outside a ``src/`` layout resolve the same way minus the
-    leading segment they do have; an unanchorable path yields ``""``
-    (relative imports in it stay unresolved).
-    """
-    parts = list(pathlib.PurePosixPath(relpath).parts)
-    if not parts or not parts[-1].endswith(".py"):
-        return ""
-    if parts[0] == "src":
-        parts = parts[1:]
-    if parts[-1] == "__init__.py":
-        parts = parts[:-1]
-    else:
-        parts = parts[:-1]
-        if not parts:
-            return ""
-    return ".".join(parts)
 
 
 def _resolve_relative(package: str, level: int, module: Optional[str]) -> Optional[str]:
@@ -62,18 +46,18 @@ def _resolve_relative(package: str, level: int, module: Optional[str]) -> Option
     return ".".join(base) if base else None
 
 
-def _import_aliases(tree: ast.Module, package: str = "") -> dict[str, str]:
-    """Map local names to canonical dotted origins for a module's imports.
+def import_aliases(nodes: Iterable[ast.AST], package: str = "") -> dict[str, str]:
+    """Map local names to canonical dotted origins for the imports in ``nodes``.
 
     ``import numpy as np`` -> ``{"np": "numpy"}``; ``from time import
     perf_counter as pc`` -> ``{"pc": "time.perf_counter"}``.  Relative
     imports resolve against ``package`` (the importing module's dotted
-    package, from :func:`_module_package`): in ``repro.sim``, ``from
-    .timing import now as n`` -> ``{"n": "repro.sim.timing.now"}``.
-    Without a package, relative imports stay unresolved.
+    package): in ``repro.sim``, ``from .timing import now as n`` ->
+    ``{"n": "repro.sim.timing.now"}``.  Without a package, relative
+    imports stay unresolved.
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 local = item.asname or item.name.split(".", 1)[0]
@@ -92,7 +76,7 @@ def _import_aliases(tree: ast.Module, package: str = "") -> dict[str, str]:
     return aliases
 
 
-def _dotted(node: ast.AST) -> Optional[list[str]]:
+def dotted_parts(node: ast.AST) -> Optional[list[str]]:
     """``a.b.c`` as ``["a", "b", "c"]``; None for non-name expressions."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -113,7 +97,7 @@ def _canonical_call(
     import (locals never count — a variable named ``random`` is not the
     ``random`` module).
     """
-    parts = _dotted(node.func)
+    parts = dotted_parts(node.func)
     if not parts:
         return None
     base = parts[0]
@@ -122,20 +106,12 @@ def _canonical_call(
     return ".".join([aliases[base], *parts[1:]])
 
 
-#: Public aliases — the interprocedural analyzer reuses the import-aware
-#: resolver rather than growing a second, subtly different one.
-module_package = _module_package
-import_aliases = _import_aliases
-dotted_parts = _dotted
-canonical_call = _canonical_call
-
-
-def _violation(
-    source: SourceFile, node: ast.AST, rule_id: str, message: str
-) -> Violation:
-    return Violation(
-        rule=rule_id,
-        path=source.relpath,
+def _finding(
+    module: ModuleInfo, node: ast.AST, checker: str, message: str
+) -> Finding:
+    return Finding(
+        checker=checker,
+        path=module.source.relpath,
         line=getattr(node, "lineno", 0),
         col=getattr(node, "col_offset", 0),
         message=message,
@@ -143,10 +119,11 @@ def _violation(
 
 
 # --------------------------------------------------------------------------
-# Rule 1: wall-clock
+# wall-clock
 # --------------------------------------------------------------------------
 
-_WALL_CLOCK_CALLS = frozenset(
+#: Wall-clock reads; the determinism-taint checker's sources too.
+WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -163,19 +140,22 @@ _WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-#: Public alias — the interprocedural analyzer shares the source list.
-WALL_CLOCK_CALLS = _WALL_CLOCK_CALLS
 
+def _check_wall_clock(module: ModuleInfo) -> Iterator[Finding]:
+    """No wall-clock reads outside the allowlisted timing modules.
 
-def _check_wall_clock(source: SourceFile) -> Iterator[Violation]:
-    aliases = _import_aliases(source.tree, _module_package(source.relpath))
-    for node in ast.walk(source.tree):
+    Campaign results are keyed and cached by simulated time from
+    ``repro.clock``; a wall-clock read makes results machine-dependent
+    and silently breaks the serial==parallel executor guarantee and the
+    schema-versioned campaign cache.
+    """
+    for node in module.source.nodes:
         if not isinstance(node, ast.Call):
             continue
-        name = _canonical_call(node, aliases)
-        if name in _WALL_CLOCK_CALLS:
-            yield _violation(
-                source,
+        name = _canonical_call(node, module.aliases)
+        if name in WALL_CLOCK_CALLS:
+            yield _finding(
+                module,
                 node,
                 "wall-clock",
                 f"{name}() reads the wall clock; simulation code must use "
@@ -184,36 +164,13 @@ def _check_wall_clock(source: SourceFile) -> Iterator[Violation]:
             )
 
 
-register_rule(
-    Rule(
-        id="wall-clock",
-        summary="no wall-clock reads outside the allowlisted timing modules",
-        rationale=(
-            "Campaign results are keyed and cached by simulated time from "
-            "repro.clock; a wall-clock read makes results machine-dependent "
-            "and silently breaks the serial==parallel executor guarantee "
-            "and the schema-versioned campaign cache."
-        ),
-        check=_check_wall_clock,
-        include=("src/repro/**",),
-        # The two modules whose whole point is measuring wall time, and
-        # the benchmark tree (outside src/ but listed for clarity).
-        exempt=(
-            "src/repro/obs/metrics.py",
-            "src/repro/sim/executor.py",
-            "benchmarks/**",
-        ),
-    )
-)
-
-
 # --------------------------------------------------------------------------
-# Rule 2: unseeded-random
+# unseeded-random
 # --------------------------------------------------------------------------
 
 #: Seeded-generator constructors remain allowed; the module-level API
 #: (global hidden state) is what destroys reproducibility.
-_ALLOWED_RANDOM_CALLS = frozenset(
+ALLOWED_RANDOM_CALLS = frozenset(
     {
         "random.Random",
         "random.SystemRandom",
@@ -229,21 +186,24 @@ _ALLOWED_RANDOM_CALLS = frozenset(
     }
 )
 
-#: Public alias — the interprocedural analyzer shares the allowlist.
-ALLOWED_RANDOM_CALLS = _ALLOWED_RANDOM_CALLS
 
+def _check_unseeded_random(module: ModuleInfo) -> Iterator[Finding]:
+    """No module-level ``random.*`` / ``np.random.*`` API in library code.
 
-def _check_unseeded_random(source: SourceFile) -> Iterator[Violation]:
-    aliases = _import_aliases(source.tree, _module_package(source.relpath))
-    for node in ast.walk(source.tree):
+    Every stochastic component takes a Generator derived from the
+    campaign seed; global-state randomness would give different results
+    per process and break the executor's paired-determinism and the
+    persistent result cache.
+    """
+    for node in module.source.nodes:
         if not isinstance(node, ast.Call):
             continue
-        name = _canonical_call(node, aliases)
-        if name is None or name in _ALLOWED_RANDOM_CALLS:
+        name = _canonical_call(node, module.aliases)
+        if name is None or name in ALLOWED_RANDOM_CALLS:
             continue
         if name.startswith("random.") or name.startswith("numpy.random."):
-            yield _violation(
-                source,
+            yield _finding(
+                module,
                 node,
                 "unseeded-random",
                 f"{name}() draws from global random state; thread a seeded "
@@ -252,32 +212,23 @@ def _check_unseeded_random(source: SourceFile) -> Iterator[Violation]:
             )
 
 
-register_rule(
-    Rule(
-        id="unseeded-random",
-        summary="no module-level random.* / np.random.* API in library code",
-        rationale=(
-            "Every stochastic component takes a Generator derived from the "
-            "campaign seed; global-state randomness would give different "
-            "results per process and break the executor's paired-determinism "
-            "and the persistent result cache."
-        ),
-        check=_check_unseeded_random,
-        include=("src/repro/**",),
-    )
-)
-
-
 # --------------------------------------------------------------------------
-# Rule 3: assert-validation
+# assert-validation
 # --------------------------------------------------------------------------
 
 
-def _check_assert_validation(source: SourceFile) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
+def _check_assert_validation(module: ModuleInfo) -> Iterator[Finding]:
+    """No assert-as-validation in library code.
+
+    Library invariants enforced via assert silently disappear when Python
+    runs with -O/-OO, turning guarded states (unfitted models, infeasible
+    solver output) into corrupt downstream results instead of clean
+    ReproError failures.
+    """
+    for node in module.source.nodes:
         if isinstance(node, ast.Assert):
-            yield _violation(
-                source,
+            yield _finding(
+                module,
                 node,
                 "assert-validation",
                 "assert statements vanish under 'python -O'; validate with "
@@ -285,24 +236,8 @@ def _check_assert_validation(source: SourceFile) -> Iterator[Violation]:
             )
 
 
-register_rule(
-    Rule(
-        id="assert-validation",
-        summary="no assert-as-validation in library code",
-        rationale=(
-            "Library invariants enforced via assert silently disappear when "
-            "Python runs with -O/-OO, turning guarded states (unfitted "
-            "models, infeasible solver output) into corrupt downstream "
-            "results instead of clean ReproError failures."
-        ),
-        check=_check_assert_validation,
-        include=("src/repro/**",),
-    )
-)
-
-
 # --------------------------------------------------------------------------
-# Rule 4: float-equality
+# float-equality
 # --------------------------------------------------------------------------
 
 #: Identifier substrings that mark a value as a latency/energy objective.
@@ -323,8 +258,15 @@ def _objective_like(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _check_float_equality(source: SourceFile) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
+def _check_float_equality(module: ModuleInfo) -> Iterator[Finding]:
+    """No ==/!= on latency/energy objective floats.
+
+    Latency and energy objectives are accumulated floats; exact equality
+    depends on summation order, which the parallel executor deliberately
+    does not fix — comparisons must be tolerance-based (the guardian's
+    Eqn. 2 margin is, too).
+    """
+    for node in module.source.nodes:
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
@@ -333,8 +275,8 @@ def _check_float_equality(source: SourceFile) -> Iterator[Violation]:
                 continue
             name = _objective_like(left) or _objective_like(right)
             if name is not None:
-                yield _violation(
-                    source,
+                yield _finding(
+                    module,
                     node,
                     "float-equality",
                     f"float ==/!= on objective value {name!r}; use "
@@ -343,24 +285,8 @@ def _check_float_equality(source: SourceFile) -> Iterator[Violation]:
                 )
 
 
-register_rule(
-    Rule(
-        id="float-equality",
-        summary="no ==/!= on latency/energy objective floats",
-        rationale=(
-            "Latency and energy objectives are accumulated floats; exact "
-            "equality depends on summation order, which the parallel "
-            "executor deliberately does not fix — comparisons must be "
-            "tolerance-based (the guardian's Eqn. 2 margin is, too)."
-        ),
-        check=_check_float_equality,
-        include=("src/repro/**",),
-    )
-)
-
-
 # --------------------------------------------------------------------------
-# Rule 5: pickle-safety
+# pickle-safety
 # --------------------------------------------------------------------------
 
 
@@ -370,11 +296,18 @@ def _lambdas_under(node: ast.AST) -> Iterator[ast.Lambda]:
             yield child
 
 
-def _check_pickle_safety(source: SourceFile) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
+def _check_pickle_safety(module: ModuleInfo) -> Iterator[Finding]:
+    """No lambdas/closures crossing the process-pool boundary.
+
+    CampaignSpec objects and submit() payloads are pickled into worker
+    processes; lambdas and closures fail to pickle only at runtime and
+    only on the workers>1 path, which unit tests (workers=1) never
+    exercise.
+    """
+    for node in module.source.nodes:
         if not isinstance(node, ast.Call):
             continue
-        parts = _dotted(node.func)
+        parts = dotted_parts(node.func)
         target: Optional[str] = None
         if parts and parts[-1] == "CampaignSpec":
             target = "CampaignSpec(...)"
@@ -385,8 +318,8 @@ def _check_pickle_safety(source: SourceFile) -> Iterator[Violation]:
         subtrees = [*node.args, *(kw.value for kw in node.keywords)]
         for subtree in subtrees:
             for lam in _lambdas_under(subtree):
-                yield _violation(
-                    source,
+                yield _finding(
+                    module,
                     lam,
                     "pickle-safety",
                     f"lambda passed into {target} cannot cross the "
@@ -395,37 +328,28 @@ def _check_pickle_safety(source: SourceFile) -> Iterator[Violation]:
                 )
 
 
-register_rule(
-    Rule(
-        id="pickle-safety",
-        summary="no lambdas/closures crossing the process-pool boundary",
-        rationale=(
-            "CampaignSpec objects and submit() payloads are pickled into "
-            "worker processes; lambdas and closures fail to pickle only at "
-            "runtime and only on the workers>1 path, which unit tests "
-            "(workers=1) never exercise."
-        ),
-        check=_check_pickle_safety,
-        include=("src/repro/**",),
-    )
-)
-
-
 # --------------------------------------------------------------------------
-# Rule 6: obs-event-kind
+# obs-event-kind
 # --------------------------------------------------------------------------
 
 
-def _check_obs_event_kind(source: SourceFile) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
+def _check_obs_event_kind(module: ModuleInfo) -> Iterator[Finding]:
+    """Events emitted only with kinds from the typed registry.
+
+    ``repro trace`` replays archived JSONL traces through schema-aware
+    renderers; an unregistered or dynamically-built event kind produces
+    traces the replayer cannot interpret, which the trace format version
+    cannot catch.
+    """
+    for node in module.source.nodes:
         if not isinstance(node, ast.Call):
             continue
         if not (isinstance(node.func, ast.Attribute) and node.func.attr == "emit"):
             continue
         for keyword in node.keywords:
             if keyword.arg is None:
-                yield _violation(
-                    source,
+                yield _finding(
+                    module,
                     node,
                     "obs-event-kind",
                     "emit() payload must be explicit keyword arguments, not "
@@ -437,8 +361,8 @@ def _check_obs_event_kind(source: SourceFile) -> Iterator[Violation]:
         if not (
             isinstance(kind_node, ast.Constant) and isinstance(kind_node.value, str)
         ):
-            yield _violation(
-                source,
+            yield _finding(
+                module,
                 node,
                 "obs-event-kind",
                 "emit() kind must be a string literal from "
@@ -446,8 +370,8 @@ def _check_obs_event_kind(source: SourceFile) -> Iterator[Violation]:
             )
             continue
         if kind_node.value not in EVENT_KINDS:
-            yield _violation(
-                source,
+            yield _finding(
+                module,
                 node,
                 "obs-event-kind",
                 f"event kind {kind_node.value!r} is not registered in "
@@ -456,19 +380,12 @@ def _check_obs_event_kind(source: SourceFile) -> Iterator[Violation]:
             )
 
 
-register_rule(
-    Rule(
-        id="obs-event-kind",
-        summary="events emitted only with kinds from the typed registry",
-        rationale=(
-            "'repro trace' replays archived JSONL traces through schema-"
-            "aware renderers; an unregistered or dynamically-built event "
-            "kind produces traces the replayer cannot interpret, which the "
-            "trace format version cannot catch."
-        ),
-        check=_check_obs_event_kind,
-        include=("src/repro/**",),
-        # The obs package itself is the plumbing that forwards kinds.
-        exempt=("src/repro/obs/**",),
-    )
-)
+#: Checker id -> per-module checker; scopes live in the checker table.
+MODULE_CHECKERS: dict[str, Callable[[ModuleInfo], Iterable[Finding]]] = {
+    "assert-validation": _check_assert_validation,
+    "float-equality": _check_float_equality,
+    "obs-event-kind": _check_obs_event_kind,
+    "pickle-safety": _check_pickle_safety,
+    "unseeded-random": _check_unseeded_random,
+    "wall-clock": _check_wall_clock,
+}

@@ -1,8 +1,8 @@
 """Checker 1 — determinism taint.
 
 Three source families poison determinism: wall-clock reads, unseeded
-global RNG, and filesystem-enumeration order.  The per-file lint already
-flags *direct* use; this checker follows the value through function and
+global RNG, and filesystem-enumeration order.  The per-module checkers
+flag *direct* use; this checker follows the value through function and
 method calls.  Each project function gets a *purity summary* — the set
 of taint kinds its result may carry, computed as a fixed point over the
 call graph — and each function body gets a local dataflow pass over its
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.devtools.analyze.callgraph import CallGraph, FunctionFacts
-from repro.devtools.analyze.findings import Finding
+from repro.devtools.analyze.findings import Finding, glob_match
 from repro.devtools.analyze.project import ProjectIndex
-from repro.devtools.lint.engine import _glob_match
-from repro.devtools.lint.rules import ALLOWED_RANDOM_CALLS, WALL_CLOCK_CALLS
+from repro.devtools.analyze.rules import ALLOWED_RANDOM_CALLS, WALL_CLOCK_CALLS
 
 CHECKER_ID = "determinism-taint"
 
@@ -98,7 +97,7 @@ def _sink_category(terminal: str) -> Optional[str]:
 
 
 def _is_exempt(relpath: str, exempt: tuple[str, ...]) -> bool:
-    return any(_glob_match(relpath, pattern) for pattern in exempt)
+    return any(glob_match(relpath, pattern) for pattern in exempt)
 
 
 # --------------------------------------------------------------------------

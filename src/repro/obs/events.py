@@ -28,12 +28,12 @@ TRACE_FORMAT_VERSION = 1
 
 #: The authoritative registry of event kinds the library may emit.
 #:
-#: ``repro lint`` (rule ``obs-event-kind``) statically rejects any
+#: ``repro analyze`` (checker ``obs-event-kind``) statically rejects any
 #: ``emit()`` call site in ``src/repro/`` whose kind is not a literal
 #: member of this set, so the schema that ``repro trace`` replays stays
 #: closed: adding a kind means registering it here *and* documenting its
 #: payload in ``docs/observability.md``.  Tests and ad-hoc scripts are
-#: outside the rule's scope and may emit anything.
+#: outside the checker's scope and may emit anything.
 EVENT_KINDS = frozenset(
     {
         "trace.header",

@@ -43,6 +43,7 @@ pre-subsystem campaigns.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -193,10 +194,7 @@ class ServerTuneSpec:
             raise ConfigurationError(
                 f"smoothing must lie in (0, 1], got {self.smoothing}"
             )
-        if self.alpha_time < 0 or self.alpha_energy < 0:
-            raise ConfigurationError("preference weights must be >= 0")
-        if self.alpha_time + self.alpha_energy <= 0:
-            raise ConfigurationError("preference weights must not both be 0")
+        check_preference_weights(self.alpha_time, self.alpha_energy)
         if self.patience < 0:
             raise ConfigurationError(
                 f"patience must be >= 0, got {self.patience}"
@@ -205,6 +203,10 @@ class ServerTuneSpec:
             raise ConfigurationError(
                 "deadline-scale bounds must satisfy 0 < min <= 1 <= max, got "
                 f"min={self.min_deadline_scale} max={self.max_deadline_scale}"
+            )
+        if not math.isfinite(self.max_deadline_scale):
+            raise ConfigurationError(
+                f"max_deadline_scale must be finite, got {self.max_deadline_scale}"
             )
         if not 0.0 < self.min_participation <= 1.0:
             raise ConfigurationError(
@@ -252,6 +254,21 @@ class ServerTuneSpec:
             raise ConfigurationError(
                 f"malformed servertune spec {raw!r}: {error}"
             ) from error
+
+
+def check_preference_weights(alpha_time: float, alpha_energy: float) -> None:
+    """Reject preference weights that cannot score a round.
+
+    NaN passes every ordered comparison as False, so finiteness is checked
+    first: a NaN or infinite weight would make every score NaN or inf.
+    """
+    for name, value in (("alpha_time", alpha_time), ("alpha_energy", alpha_energy)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if alpha_time < 0 or alpha_energy < 0:
+        raise ConfigurationError("preference weights must be >= 0")
+    if alpha_time + alpha_energy <= 0:
+        raise ConfigurationError("preference weights must not both be 0")
 
 
 def normalize_servertune(

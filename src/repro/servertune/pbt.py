@@ -43,6 +43,7 @@ from repro.obs import runtime as obs
 from repro.servertune.controllers import (
     SERVERTUNE_CONTROLLERS,
     ServerTuneSpec,
+    check_preference_weights,
 )
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.executor import ProgressCallback
@@ -110,10 +111,7 @@ class PBTSpec:
                     f"unknown PBT controller {name!r}; available: "
                     f"{', '.join(PBT_CONTROLLERS)}"
                 )
-        if self.alpha_energy < 0 or self.alpha_time < 0:
-            raise ConfigurationError("preference weights must be >= 0")
-        if self.alpha_energy + self.alpha_time <= 0:
-            raise ConfigurationError("preference weights must not both be 0")
+        check_preference_weights(self.alpha_time, self.alpha_energy)
         if self.patience < 0:
             raise ConfigurationError(f"patience must be >= 0, got {self.patience}")
 
@@ -211,8 +209,18 @@ class PBTState:
         history = raw.get("history", [])
         if not isinstance(members, list) or not isinstance(history, list):
             raise ConfigurationError(f"malformed PBT state payload: {raw!r}")
+        next_generation = raw.get("next_generation", 0)
+        if (
+            isinstance(next_generation, bool)
+            or not isinstance(next_generation, (int, float))
+            or not float(next_generation).is_integer()
+            or next_generation < 0
+        ):
+            raise ConfigurationError(
+                f"next_generation must be a whole number >= 0, got {next_generation!r}"
+            )
         return cls(
-            next_generation=int(raw.get("next_generation", 0)),  # type: ignore[arg-type]
+            next_generation=int(next_generation),
             members=[ServerTuneSpec.from_dict(m) for m in members],
             history=[MemberRecord.from_dict(r) for r in history],
         )

@@ -1,6 +1,6 @@
 """Shared fixtures for the devtools test suites.
 
-Analyzer and lint tests both build throwaway miniature repos
+The analyzer suites build throwaway miniature repos
 (``<tmp>/pyproject.toml`` + ``<tmp>/src/repro/...``) so repo-root-
 relative scopes, module-name derivation, and contract qualnames resolve
 exactly as they do on the real tree.

@@ -1,6 +1,7 @@
 """Report serialization, the baseline ratchet, and real-tree guarantees."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from repro.devtools.analyze import (
     load_baseline,
     ratchet,
     render_baseline,
-    write_baseline,
 )
 from repro.errors import ConfigurationError
 
@@ -60,7 +60,7 @@ class TestRatchet:
     def test_baselined_findings_pass_new_ones_fail(self, tmp_path):
         old = AnalysisReport(findings=[finding()])
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, old)
+        baseline_path.write_text(render_baseline(old))
         new = AnalysisReport(findings=[finding(), finding(message="fresh")])
         result = ratchet(new, load_baseline(baseline_path))
         assert not result.ok
@@ -72,14 +72,14 @@ class TestRatchet:
     def test_baseline_is_a_multiset(self, tmp_path):
         # One baselined occurrence does not cover a duplicated violation.
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, AnalysisReport(findings=[finding()]))
+        baseline_path.write_text(render_baseline(AnalysisReport(findings=[finding()])))
         doubled = AnalysisReport(findings=[finding(line=3), finding(line=9)])
         result = ratchet(doubled, load_baseline(baseline_path))
         assert len(result.new) == 1
 
     def test_stale_entries_reported_not_fatal(self, tmp_path):
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, AnalysisReport(findings=[finding()]))
+        baseline_path.write_text(render_baseline(AnalysisReport(findings=[finding()])))
         result = ratchet(AnalysisReport(), load_baseline(baseline_path))
         assert result.ok
         assert result.stale == 1
@@ -142,3 +142,37 @@ class TestRealTree:
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert json.loads(completed.stdout)["ok"] is True
         assert json.loads(sarif_path.read_text())["version"] == "2.1.0"
+
+
+class TestCliWrites:
+    @pytest.mark.parametrize(
+        ("option", "first_exit"), [("--write-baseline", 0), ("--sarif", 1)]
+    )
+    def test_failed_write_keeps_the_previous_file(
+        self, make_tree, tmp_path_factory, capsys, monkeypatch, option, first_exit
+    ):
+        from repro.cli import main
+
+        root = make_tree({"src/repro/core/bad.py": "def f():\n    assert True\n"})
+        out = tmp_path_factory.mktemp("out")
+        path = out / "out.json"
+        target = ["--baseline", str(path)] if option == "--write-baseline" else [str(path)]
+        argv = ["analyze", "--root", str(root), option, *target]
+        assert main(argv) == first_exit
+        before = path.read_bytes()
+        assert json.loads(before)
+        capsys.readouterr()
+        (root / "src" / "repro" / "core" / "bad.py").write_text("def f():\n    return 1\n")
+        replace = os.replace
+
+        def crash_before_the_rename(src, dst):
+            if pathlib.Path(dst) == path:
+                assert json.loads(pathlib.Path(src).read_text())  # fully written
+                raise OSError("killed between write and rename")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_before_the_rename)
+        assert main(argv) == 1
+        assert "killed between write and rename" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["out.json"]

@@ -89,8 +89,8 @@ class TestPreCommit:
         text = (REPO / ".pre-commit-config.yaml").read_text()
         assert "ruff" in text
         assert "mypy" in text
-        assert "repro lint" in text
         assert "repro analyze --ratchet" in text
+        assert "repro lint" not in text
 
     def test_mypy_hook_scopes_to_strict_packages(self):
         text = (REPO / ".pre-commit-config.yaml").read_text()
@@ -104,8 +104,8 @@ class TestCiWorkflow:
         assert "static-analysis" in text
         assert "ruff check" in text
         assert "mypy" in text
-        assert "lint --format json" in text
         assert "analyze --ratchet" in text
+        assert "repro lint" not in text
 
     def test_mypy_step_covers_every_strict_package(self):
         text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
@@ -115,7 +115,10 @@ class TestCiWorkflow:
     def test_analyze_determinism_and_sarif_steps(self):
         text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "cmp analyze_a.json analyze_b.json" in text
-        assert "--sarif repro-analyze.sarif" in text
+        # One step gates and reports; the upload runs even when it fails.
+        assert "analyze --ratchet --sarif repro-analyze.sarif" in text
+        upload = text[text.index("Upload SARIF artifact"):]
+        assert upload.index("if: always()") < upload.index("uses:")
 
 
 class TestMypyStrictPackages:

@@ -99,6 +99,19 @@ class TestServerTuneSpec:
         with pytest.raises(ConfigurationError):
             ServerTuneSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("alpha_time", float("nan")),
+            ("alpha_energy", float("nan")),
+            ("alpha_energy", float("inf")),
+            ("max_deadline_scale", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServerTuneSpec(**{field: value})
+
     def test_to_dict_round_trips(self):
         spec = ServerTuneSpec(
             controller="fedtune", deadline_step=0.2, patience=4, smoothing=0.7

@@ -81,6 +81,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             PBTSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("alpha_time", float("nan")),
+            ("alpha_energy", float("nan")),
+            ("alpha_time", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_weights(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PBTSpec(**{field: value})
+
     def test_elite_count_floors_at_one(self):
         assert PBTSpec(population=2, exploit_fraction=0.25).elite_count == 1
         assert PBTSpec(population=8, exploit_fraction=0.25).elite_count == 2
@@ -154,6 +166,11 @@ class TestStateRoundTrip:
             PBTState.from_dict({"kind": "nope"})
         with pytest.raises(ConfigurationError):
             PBTState.from_dict({"kind": "pbt_state", "members": 3})
+
+    @pytest.mark.parametrize("value", [2.7, "x", None, -1, True])
+    def test_from_dict_rejects_a_bad_next_generation(self, value):
+        with pytest.raises(ConfigurationError, match="next_generation"):
+            PBTState.from_dict({"kind": "pbt_state", "next_generation": value})
 
 
 class TestRunPBT:

@@ -393,6 +393,10 @@ class TestServertuneCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["servertune", "report"])
 
+    def test_run_rejects_a_nan_weight(self, capsys):
+        assert main(["servertune", "run", *self.FAST, "--alpha-energy", "nan"]) == 1
+        assert "alpha_energy" in capsys.readouterr().err
+
     def test_run_prints_population_and_frontier(self, capsys):
         assert main(["servertune", "run", *self.FAST]) == 0
         out = capsys.readouterr().out

@@ -10,7 +10,7 @@ its submodules (re-exports are lazy, see ``repro._lazy``), and the
 closures below pin the layers that the paper's campaign grid, the
 decision service, a bare ``FleetSpec``, ``import repro.cli`` and the
 CLI's argparse tree must never load.  The argparse tree loads no numpy
-either, so stdlib-only commands (``repro lint``, ``--version``) start
+either, so stdlib-only commands (``repro analyze``, ``--version``) start
 without it.
 """
 
