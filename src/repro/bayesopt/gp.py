@@ -93,6 +93,10 @@ class GaussianProcess:
         Standardize targets to zero mean / unit variance internally.
     jitter:
         Diagonal stabilizer added to the kernel matrix.
+
+    :meth:`optimize_hyperparameters` minimizes :meth:`_negative_lml`, a
+    pure function of the log hyperparameters over a clone of the kernel:
+    the GP's own parameters change once, to the best optimum found.
     """
 
     def __init__(
@@ -199,9 +203,7 @@ class GaussianProcess:
             + [np.log(noise_bounds)]
         )
 
-        def objective(theta: np.ndarray) -> float:
-            return -self._log_marginal_likelihood(theta)
-
+        objective = self._negative_lml()
         starts = [np.concatenate([self.kernel.get_log_params(), [np.log(self.noise_variance)]])]
         for _ in range(n_restarts):
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in log_bounds]))
@@ -216,39 +218,46 @@ class GaussianProcess:
                 best_value, best_theta = float(result.fun), result.x
         if best_theta is None:
             raise OptimizationError("hyperparameter optimization failed from every start")
-        self._apply_theta(best_theta)
+        self.kernel.set_log_params(best_theta[:-1])
+        self.noise_variance = float(np.exp(best_theta[-1]))
         self._refactorize()
         return -best_value
 
-    def _apply_theta(self, theta: np.ndarray) -> None:
-        self.kernel.set_log_params(theta[:-1])
-        self.noise_variance = float(np.exp(theta[-1]))
+    def _negative_lml(self) -> Callable[[np.ndarray], float]:
+        """The fit objective: minus the LML of the standardized data.
 
-    def _log_marginal_likelihood(self, theta: np.ndarray) -> float:
-        """LML of the standardized data under hyperparameters ``theta``."""
+        A pure function of ``theta = (log kernel parameters, log noise)``
+        over a clone of the kernel, so no evaluation touches this GP.
+        What is fixed per fit (the data, the diagonal indices, the
+        ``log 2 pi`` term) is computed once.  Inputs are finite by
+        construction: :meth:`fit` factorized the data under finite checks
+        and L-BFGS-B keeps ``theta`` inside finite bounds, so LAPACK's
+        inputs skip the re-check.  A failed Cholesky scores ``+inf``.
+        """
         if self._x is None or self._y is None:
             raise NotFittedError("GP has no observations for the LML")
-        saved_kernel = self.kernel.get_log_params()
-        saved_noise = self.noise_variance
-        try:
-            self._apply_theta(theta)
-            n = self._x.shape[0]
-            cov = self.kernel(self._x, self._x)
-            cov[np.diag_indices(n)] += self.noise_variance + self.jitter
+        kernel = self.kernel.clone()
+        x, y, jitter = self._x, self._y, self.jitter
+        n = x.shape[0]
+        diag = np.diag_indices(n)
+        half_n_log_2pi = 0.5 * n * np.log(2.0 * np.pi)
+
+        def objective(theta: np.ndarray) -> float:
+            kernel.set_log_params(theta[:-1])
+            cov = kernel(x, x)
+            cov[diag] += float(np.exp(theta[-1])) + jitter
             try:
-                chol = linalg.cholesky(cov, lower=True)
+                chol = linalg.cholesky(cov, lower=True, check_finite=False)
             except linalg.LinAlgError:
-                return -np.inf
-            alpha = linalg.cho_solve((chol, True), self._y)
-            lml = (
-                -0.5 * float(self._y @ alpha)
+                return np.inf
+            alpha = linalg.cho_solve((chol, True), y, check_finite=False)
+            return -(
+                -0.5 * float(y @ alpha)
                 - float(np.sum(np.log(np.diag(chol))))
-                - 0.5 * n * np.log(2.0 * np.pi)
+                - half_n_log_2pi
             )
-            return lml
-        finally:
-            self.kernel.set_log_params(saved_kernel)
-            self.noise_variance = saved_noise
+
+        return objective
 
     def log_marginal_likelihood(self) -> float:
         """LML at the current hyperparameters."""
@@ -422,6 +431,11 @@ class BatchPosterior:
     appends in place instead of reallocating.  A posterior should be
     extended at most once — extensions share the parent's buffer, and a
     second extension of the same parent would overwrite the first's rows.
+
+    Construction allocates both buffers first and fills them in place:
+    the kernel writes ``k(X, C)`` into the leading rows, and LAPACK's one
+    F-ordered ``n x m`` solve is the only temporary of that size (see
+    "Working set" in ``docs/kernel_fastpath.md``).
     """
 
     def __init__(
@@ -437,15 +451,17 @@ class BatchPosterior:
         self.gp = gp
         self.x_candidates = np.atleast_2d(np.asarray(x_candidates, dtype=float))
         n = x_obs.shape[0]
-        k_star = gp.kernel(x_obs, self.x_candidates)
+        shape = (n + max(0, int(capacity)), self.x_candidates.shape[0])
+        self._buf_k = np.empty(shape)
+        self._buf_v = np.empty(shape)
+        k_star = gp.kernel.fill(x_obs, self.x_candidates, self._buf_k[:n])
+        # LAPACK's solve is F-ordered.  Square and reduce it in place, as
+        # ``np.sum(v**2, axis=0)`` does: over the C-ordered buffer numpy
+        # would add the rows in another order.
         v = linalg.solve_triangular(chol, k_star, lower=True, check_finite=False)
-        cap = n + max(0, int(capacity))
-        self._buf_k = np.empty((cap, k_star.shape[1]))
-        self._buf_v = np.empty_like(self._buf_k)
-        self._buf_k[:n] = k_star
         self._buf_v[:n] = v
         self._n = n
-        self._sum_sq: np.ndarray = np.sum(v**2, axis=0)
+        self._sum_sq: np.ndarray = np.sum(np.square(v, out=v), axis=0)
         self._prior_var = gp.kernel.diag(self.x_candidates)
 
     @classmethod

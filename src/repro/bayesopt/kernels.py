@@ -20,18 +20,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-def _scaled_sq_dists(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances after per-dimension scaling."""
-    a = x1 / lengthscales
-    b = x2 / lengthscales
-    # ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped for numerical safety.
-    # Written with in-place updates (same IEEE operations, fewer large
-    # temporaries): this runs once per kernel evaluation on the MBO hot path.
-    sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
-    cross = a @ b.T
-    cross *= 2.0
-    sq -= cross
-    return np.maximum(sq, 0.0, out=sq)
+#: Elements per row block of the in-place distance-to-covariance transform.
+#: A fit's Gram matrix (n <= 128) is one block; on a ~2,000-candidate
+#: cross-covariance a block is a few rows, so the transform's temporaries
+#: stay a small fraction of the matrix it fills.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class Kernel(ABC):
@@ -75,16 +68,43 @@ class Kernel(ABC):
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """The covariance matrix between rows of ``x1`` and ``x2``."""
-        sq = _scaled_sq_dists(np.atleast_2d(x1), np.atleast_2d(x2), self.lengthscales)
-        return self.from_scaled_sq_dists(sq)
+        x1 = np.atleast_2d(x1)
+        x2 = np.atleast_2d(x2)
+        return self.fill(x1, x2, np.empty((x1.shape[0], x2.shape[0])))
+
+    def fill(self, x1: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the covariance matrix between rows of 2-D ``x1`` and ``x2``
+        into ``out`` and return it.
+
+        ``out`` must be a C-contiguous ``float64`` array of shape
+        ``(len(x1), len(x2))``, e.g. the leading rows of a preallocated
+        buffer.  Apart from the one matrix product, which BLAS writes
+        straight into ``out``, every step runs in place in row blocks, so
+        the temporaries stay a few rows wide whatever the matrix size.
+        """
+        a = x1 / self.lengthscales
+        b = x2 / self.lengthscales
+        # ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped for numerical
+        # safety.  ``b`` stays a distinct array even when x1 is x2: numpy
+        # sends ``a @ a.T`` to syrk, which rounds differently from gemm.
+        np.matmul(a, b.T, out=out)
+        out *= 2.0
+        sq_a = np.sum(a**2, axis=1)[:, None]
+        sq_b = np.sum(b**2, axis=1)[None, :]
+        rows = max(1, _BLOCK_ELEMENTS // max(1, out.shape[1]))
+        for start in range(0, out.shape[0], rows):
+            block = out[start : start + rows]
+            scratch = np.add(sq_a[start : start + rows], sq_b)
+            np.subtract(scratch, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            self._transform(block, scratch)
+        return out
 
     @abstractmethod
-    def from_scaled_sq_dists(self, sq: np.ndarray) -> np.ndarray:
-        """The covariance matrix from precomputed scaled squared distances.
+    def _transform(self, sq: np.ndarray, scratch: np.ndarray) -> None:
+        """Turn scaled squared distances ``sq`` into covariances in place.
 
-        Lets callers that already hold the pairwise distances (e.g. a
-        factor extension that reuses a distance block) skip recomputing
-        them; ``__call__`` routes through this hook.
+        ``scratch`` is a same-shaped array the transform may overwrite.
         """
 
     def diag(self, x: np.ndarray) -> np.ndarray:
@@ -105,20 +125,19 @@ class Matern52(Kernel):
     rough enough for real performance surfaces; the paper's choice.
     """
 
-    def from_scaled_sq_dists(self, sq: np.ndarray) -> np.ndarray:
+    def _transform(self, sq: np.ndarray, scratch: np.ndarray) -> None:
         # In-place form of ``v * (1 + a + a^2/3) * exp(-a)`` — identical
-        # IEEE operations and association order, fewer large temporaries.
-        t = 5.0 * sq
-        a = np.sqrt(t, out=t)
-        poly = 1.0 + a
+        # IEEE operations and association order, one extra temporary.
+        a = np.multiply(sq, 5.0, out=scratch)
+        np.sqrt(a, out=a)
         third = a * a
         third /= 3.0
+        poly = np.add(a, 1.0, out=sq)
         poly += third
         poly *= self.variance
         np.negative(a, out=a)
         np.exp(a, out=a)
         poly *= a
-        return poly
 
 
 class RBF(Kernel):
@@ -127,5 +146,8 @@ class RBF(Kernel):
     Infinitely smooth; included for kernel ablations.
     """
 
-    def from_scaled_sq_dists(self, sq: np.ndarray) -> np.ndarray:
-        return self.variance * np.exp(-0.5 * sq)
+    def _transform(self, sq: np.ndarray, scratch: np.ndarray) -> None:
+        # ``v * exp(-r^2 / 2)`` in place.
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= self.variance

@@ -14,6 +14,7 @@ per §4.3), the observation set, and the suggestion logic:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import Optional
 
@@ -98,8 +99,13 @@ class MultiObjectiveBayesianOptimizer:
         """Record (or overwrite with fresher data) one measured configuration."""
         if config not in self.space:
             raise OptimizationError(f"{config} is outside the optimizer's space")
-        if latency <= 0 or energy <= 0:
-            raise OptimizationError("objective values must be positive")
+        for name, value in (("latency", latency), ("energy", energy)):
+            # NaN passes a ``<= 0`` test and would surface only at the
+            # next fit, as a bare scipy ValueError.
+            if not (math.isfinite(value) and value > 0):
+                raise OptimizationError(
+                    f"{name} must be a finite positive number, got {value!r}"
+                )
         if config not in self._observations:
             # A new observation changes the candidate set: release the
             # suggest cache now rather than at the next suggest.

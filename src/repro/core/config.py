@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.types import require_fraction, require_positive
+from repro.errors import ConfigurationError
+from repro.types import require_fraction, require_positive, require_whole
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,12 @@ class BoFLConfig:
         require_fraction("hv_improvement_threshold", self.hv_improvement_threshold)
         require_fraction("safety_margin", self.safety_margin)
         if self.initial_sample_fraction <= 0:
-            raise ValueError("initial_sample_fraction must be positive")
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.fit_restarts < 0:
-            raise ValueError(f"fit_restarts must be >= 0, got {self.fit_restarts}")
+            raise ConfigurationError("initial_sample_fraction must be positive")
+        # Integral floats normalize to int; NaN, inf and fractions raise
+        # (a NaN batch cap would silently lift the cap).
+        for name, minimum in (("max_batch_size", 1), ("fit_restarts", 0), ("seed", 0)):
+            whole = require_whole(name, getattr(self, name), minimum=minimum)
+            object.__setattr__(self, name, whole)
         require_fraction("drift_smoothing", self.drift_smoothing)
         require_positive("drift_threshold", self.drift_threshold)
 

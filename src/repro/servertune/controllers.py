@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.types import require_whole
 
 #: Controller names :func:`make_server_controller` accepts.
 SERVERTUNE_CONTROLLERS: tuple[str, ...] = ("static", "fedgpo", "fedtune")
@@ -195,10 +196,7 @@ class ServerTuneSpec:
                 f"smoothing must lie in (0, 1], got {self.smoothing}"
             )
         check_preference_weights(self.alpha_time, self.alpha_energy)
-        if self.patience < 0:
-            raise ConfigurationError(
-                f"patience must be >= 0, got {self.patience}"
-            )
+        object.__setattr__(self, "patience", require_whole("patience", self.patience))
         if not 0.0 < self.min_deadline_scale <= 1.0 <= self.max_deadline_scale:
             raise ConfigurationError(
                 "deadline-scale bounds must satisfy 0 < min <= 1 <= max, got "
@@ -236,7 +234,7 @@ class ServerTuneSpec:
             "smoothing": float(self.smoothing),
             "alpha_time": float(self.alpha_time),
             "alpha_energy": float(self.alpha_energy),
-            "patience": int(self.patience),
+            "patience": self.patience,
             "min_deadline_scale": float(self.min_deadline_scale),
             "max_deadline_scale": float(self.max_deadline_scale),
             "min_participation": float(self.min_participation),

@@ -48,6 +48,7 @@ from repro.servertune.controllers import (
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.executor import ProgressCallback
 from repro.sim.fleet import FleetSpec, compose_fleet, prepare_fleet
+from repro.types import require_whole
 
 #: The searched hyperparameters and the bounds mutation clamps into.
 #: Ranges keep every sampled/perturbed spec valid by construction
@@ -112,8 +113,7 @@ class PBTSpec:
                     f"{', '.join(PBT_CONTROLLERS)}"
                 )
         check_preference_weights(self.alpha_time, self.alpha_energy)
-        if self.patience < 0:
-            raise ConfigurationError(f"patience must be >= 0, got {self.patience}")
+        object.__setattr__(self, "patience", require_whole("patience", self.patience))
 
     @property
     def elite_count(self) -> int:
@@ -131,7 +131,7 @@ class PBTSpec:
             "controllers": list(self.controllers),
             "alpha_energy": float(self.alpha_energy),
             "alpha_time": float(self.alpha_time),
-            "patience": int(self.patience),
+            "patience": self.patience,
         }
 
 
@@ -209,18 +209,10 @@ class PBTState:
         history = raw.get("history", [])
         if not isinstance(members, list) or not isinstance(history, list):
             raise ConfigurationError(f"malformed PBT state payload: {raw!r}")
-        next_generation = raw.get("next_generation", 0)
-        if (
-            isinstance(next_generation, bool)
-            or not isinstance(next_generation, (int, float))
-            or not float(next_generation).is_integer()
-            or next_generation < 0
-        ):
-            raise ConfigurationError(
-                f"next_generation must be a whole number >= 0, got {next_generation!r}"
-            )
         return cls(
-            next_generation=int(next_generation),
+            next_generation=require_whole(
+                "next_generation", raw.get("next_generation", 0)
+            ),
             members=[ServerTuneSpec.from_dict(m) for m in members],
             history=[MemberRecord.from_dict(r) for r in history],
         )

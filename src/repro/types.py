@@ -11,6 +11,7 @@ needing to know about each other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
@@ -273,3 +274,22 @@ def require_nonnegative_int(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
     return value
+
+
+def require_whole(name: str, value: object, *, minimum: int = 0) -> int:
+    """Validate that ``value`` is a whole number >= ``minimum``; return an int.
+
+    Integral floats (``10.0``, as JSON may carry them) normalize to
+    ``int``.  Booleans, non-numbers, NaN, infinities and fractional values
+    raise :class:`ConfigurationError` naming the field.
+    """
+    whole = None
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        whole = int(value)
+    elif isinstance(value, float) and value.is_integer():  # False for NaN, inf
+        whole = int(value)
+    if whole is None or whole < minimum:
+        raise ConfigurationError(
+            f"{name} must be a whole number >= {minimum}, got {value!r}"
+        )
+    return whole

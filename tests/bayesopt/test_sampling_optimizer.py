@@ -108,6 +108,17 @@ class TestOptimizer:
         with pytest.raises(OptimizationError):
             optimizer.add_observation(tiny_spec.space.max_configuration(), -1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["latency", "energy"])
+    def test_add_observation_rejects_non_finite(self, tiny_spec, field, bad):
+        optimizer = MultiObjectiveBayesianOptimizer(tiny_spec.space)
+        values = {"latency": 1.0, "energy": 1.0, field: bad}
+        with pytest.raises(OptimizationError, match=f"{field}.*{bad}"):
+            optimizer.add_observation(
+                tiny_spec.space.max_configuration(), values["latency"], values["energy"]
+            )
+        assert optimizer.n_observations == 0
+
     def test_duplicate_observation_overwrites(self, tiny_spec):
         optimizer = MultiObjectiveBayesianOptimizer(tiny_spec.space)
         config = tiny_spec.space.max_configuration()

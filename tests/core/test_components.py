@@ -44,6 +44,40 @@ class TestBoFLConfig:
         with pytest.raises(Exception):
             BoFLConfig().tau = 3.0  # type: ignore[misc]
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("max_batch_size", float("nan")),
+            ("max_batch_size", float("inf")),
+            ("max_batch_size", 2.5),
+            ("max_batch_size", 0),
+            ("fit_restarts", 1.5),
+            ("fit_restarts", float("nan")),
+            ("fit_restarts", -1),
+            ("seed", 1.5),
+            ("seed", float("-inf")),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", "0"),
+        ],
+    )
+    def test_integer_fields_reject_non_whole_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            BoFLConfig(**{field: value})
+
+    def test_integral_floats_normalize_to_int(self):
+        config = BoFLConfig(max_batch_size=4.0, fit_restarts=1.0, seed=7.0)
+        assert (config.max_batch_size, config.fit_restarts, config.seed) == (4, 1, 7)
+        assert all(
+            type(value) is int
+            for value in (config.max_batch_size, config.fit_restarts, config.seed)
+        )
+        assert config == BoFLConfig(max_batch_size=4, fit_restarts=1, seed=7)
+
+    def test_bad_fraction_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="initial_sample_fraction"):
+            BoFLConfig(initial_sample_fraction=0.0)
+
 
 def sample(cpu=1.0, latency=0.1, energy=2.0, jobs=1):
     return PerformanceSample(

@@ -6,6 +6,8 @@ EWMA-driven widen/tighten moves, and FedTune's direction-reversal plus
 patience halt.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -111,6 +113,21 @@ class TestServerTuneSpec:
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ServerTuneSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, "3"])
+    def test_rejects_a_non_whole_patience(self, value):
+        with pytest.raises(ConfigurationError, match="patience"):
+            ServerTuneSpec(controller="fedtune", patience=value)
+
+    def test_from_dict_rejects_a_nan_patience(self):
+        raw = json.loads('{"controller": "fedtune", "patience": NaN}')
+        with pytest.raises(ConfigurationError, match="patience"):
+            ServerTuneSpec.from_dict(raw)
+
+    def test_integral_float_patience_normalizes(self):
+        spec = ServerTuneSpec.from_dict({"controller": "fedtune", "patience": 3.0})
+        assert type(spec.patience) is int and spec.patience == 3
+        assert spec.to_dict()["patience"] == 3
 
     def test_to_dict_round_trips(self):
         spec = ServerTuneSpec(

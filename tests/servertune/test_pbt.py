@@ -93,6 +93,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match=field):
             PBTSpec(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), 2.7])
+    def test_rejects_a_non_whole_patience(self, value):
+        with pytest.raises(ConfigurationError, match="patience"):
+            PBTSpec(patience=value)
+
+    def test_integral_float_patience_normalizes(self):
+        spec = PBTSpec(patience=2.0)
+        assert type(spec.patience) is int and spec.to_dict()["patience"] == 2
+
     def test_elite_count_floors_at_one(self):
         assert PBTSpec(population=2, exploit_fraction=0.25).elite_count == 1
         assert PBTSpec(population=8, exploit_fraction=0.25).elite_count == 2
@@ -166,6 +175,13 @@ class TestStateRoundTrip:
             PBTState.from_dict({"kind": "nope"})
         with pytest.raises(ConfigurationError):
             PBTState.from_dict({"kind": "pbt_state", "members": 3})
+
+    def test_from_dict_rejects_a_member_with_nan_patience(self):
+        member = ServerTuneSpec(controller="fedtune", patience=2).to_dict()
+        text = json.dumps({"kind": "pbt_state", "members": [member]})
+        raw = json.loads(text.replace('"patience": 2', '"patience": NaN'))
+        with pytest.raises(ConfigurationError, match="patience"):
+            PBTState.from_dict(raw)
 
     @pytest.mark.parametrize("value", [2.7, "x", None, -1, True])
     def test_from_dict_rejects_a_bad_next_generation(self, value):

@@ -1,5 +1,6 @@
 """Unit tests for the shared value types."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -15,6 +16,7 @@ from repro.types import (
     require_fraction,
     require_nonnegative_int,
     require_positive,
+    require_whole,
 )
 
 
@@ -175,3 +177,14 @@ class TestValidators:
             require_nonnegative_int("n", 1.5)
         with pytest.raises(ConfigurationError):
             require_nonnegative_int("n", True)
+
+    def test_require_whole(self):
+        assert require_whole("n", 0) == 0
+        assert require_whole("n", np.int64(4), minimum=1) == 4
+        for integral in (7.0, np.float64(7.0)):
+            assert type(require_whole("n", integral)) is int
+        for bad in (-1, 0.5, float("nan"), float("inf"), True, "3", None):
+            with pytest.raises(ConfigurationError, match="n must be"):
+                require_whole("n", bad)
+        with pytest.raises(ConfigurationError, match=">= 2"):
+            require_whole("n", 1, minimum=2)
