@@ -14,7 +14,6 @@ per §4.3), the observation set, and the suggestion logic:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from typing import Optional
 
@@ -24,7 +23,7 @@ from repro.bayesopt.acquisition import ehvi_argmax
 from repro.bayesopt.gp import BatchPosterior, GaussianProcess
 from repro.bayesopt.hypervolume import hypervolume_2d, reference_from_observations
 from repro.bayesopt.kernels import Matern52
-from repro.bayesopt.pareto import pareto_mask
+from repro.bayesopt.pareto import pareto_mask, require_objectives
 from repro.errors import NotFittedError, OptimizationError
 from repro.hardware.frequency import ConfigurationSpace
 from repro.obs import runtime as obs
@@ -99,18 +98,12 @@ class MultiObjectiveBayesianOptimizer:
         """Record (or overwrite with fresher data) one measured configuration."""
         if config not in self.space:
             raise OptimizationError(f"{config} is outside the optimizer's space")
-        for name, value in (("latency", latency), ("energy", energy)):
-            # NaN passes a ``<= 0`` test and would surface only at the
-            # next fit, as a bare scipy ValueError.
-            if not (math.isfinite(value) and value > 0):
-                raise OptimizationError(
-                    f"{name} must be a finite positive number, got {value!r}"
-                )
+        observation = require_objectives(latency, energy)
         if config not in self._observations:
             # A new observation changes the candidate set: release the
             # suggest cache now rather than at the next suggest.
             self._suggest_cache = None
-        self._observations[config] = (float(latency), float(energy))
+        self._observations[config] = observation
 
     @property
     def n_observations(self) -> int:

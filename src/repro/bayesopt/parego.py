@@ -23,7 +23,7 @@ import numpy as np
 from repro.bayesopt.acquisition import expected_improvement
 from repro.bayesopt.gp import GaussianProcess
 from repro.bayesopt.kernels import Matern52
-from repro.bayesopt.pareto import pareto_mask
+from repro.bayesopt.pareto import pareto_mask, require_objectives
 from repro.errors import NotFittedError, OptimizationError
 from repro.hardware.frequency import ConfigurationSpace
 from repro.types import DvfsConfiguration
@@ -66,9 +66,7 @@ class ParEGOSuggester:
         """Record one measured configuration."""
         if config not in self.space:
             raise OptimizationError(f"{config} is outside the space")
-        if latency <= 0 or energy <= 0:
-            raise OptimizationError("objective values must be positive")
-        self._observations[config] = (float(latency), float(energy))
+        self._observations[config] = require_objectives(latency, energy)
 
     @property
     def n_observations(self) -> int:

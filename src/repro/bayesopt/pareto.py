@@ -8,9 +8,25 @@ Pareto *set* is the set of non-dominated inputs; its image is the Pareto
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import OptimizationError
+
+
+def require_objectives(latency: float, energy: float) -> tuple[float, float]:
+    """One measured ``(latency, energy)`` pair, checked finite and positive.
+
+    NaN passes a ``<= 0`` test and would surface only at the next GP fit,
+    as a bare scipy ``ValueError``; this names the field instead.
+    """
+    for name, value in (("latency", latency), ("energy", energy)):
+        if not (math.isfinite(value) and value > 0):
+            raise OptimizationError(
+                f"{name} must be a finite positive number, got {value!r}"
+            )
+    return float(latency), float(energy)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:

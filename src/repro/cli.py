@@ -720,8 +720,6 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> str:
-    from repro.federated.async_engine import check_detail
-    from repro.servertune.controllers import normalize_servertune
     from repro.sim.fleet import (
         FleetSpec,
         compose_fleet,
@@ -752,14 +750,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         chaos_fraction=args.chaos,
         edges=args.edges,
         **extra,
-    )
-    # Reject a composition the engine would refuse before any campaign is
-    # simulated: a cold trace gathering spends seconds computing campaigns.
-    check_detail(
-        args.detail,
-        mode=spec.mode,
-        controlled=normalize_servertune(spec.servertune) is not None,
-        max_staleness=spec.max_staleness,
     )
     compose_kwargs = dict(detail=args.detail, shards=args.compose_shards)
     # Trace gathering may shard over workers and hit caches; the

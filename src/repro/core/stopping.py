@@ -14,15 +14,14 @@ acquisition predicts.
 from __future__ import annotations
 
 
-from repro.types import require_fraction, require_nonnegative_int
+from repro.types import require_fraction, require_whole
 
 
 class StoppingCondition:
     """Coverage + diminishing-hypervolume stopping rule."""
 
     def __init__(self, min_explored: int, hv_improvement_threshold: float) -> None:
-        require_nonnegative_int("min_explored", min_explored)
-        self.min_explored = min_explored
+        self.min_explored = require_whole("min_explored", min_explored)
         self.hv_improvement_threshold = require_fraction(
             "hv_improvement_threshold", hv_improvement_threshold
         )

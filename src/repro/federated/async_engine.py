@@ -76,34 +76,7 @@ from repro.servertune.controllers import (
     ServerController,
     ServerKnobs,
 )
-from repro.types import Seconds
-
-def check_detail(
-    detail: str,
-    *,
-    mode: str,
-    controlled: bool,
-    max_staleness: Optional[int],
-) -> None:
-    """Reject a ``detail`` the engine cannot compose in ``mode``.
-
-    ``stats`` keeps no per-report state, so an ``async`` composition
-    needs the static fast drain: no server controller (``controlled``)
-    and no ``max_staleness`` bound.  The CLI calls this before gathering
-    any traces, so an impossible run fails before any campaign is
-    simulated.
-    """
-    if detail not in FLEET_DETAILS:
-        raise ConfigurationError(
-            f"unknown detail {detail!r}; available: {', '.join(FLEET_DETAILS)}"
-        )
-    if detail == "stats" and mode == "async" and (
-        controlled or max_staleness is not None
-    ):
-        raise ConfigurationError(
-            "detail='stats' async composition requires the static fast "
-            "drain (no server controller, no max_staleness)"
-        )
+from repro.types import Seconds, require_whole
 
 
 def staleness_weight(staleness: int, exponent: float) -> float:
@@ -196,11 +169,6 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
     ("status", "int8"),
 )
 
-#: One report laid out as the columns are: (client position, local round,
-#: arrival, train_elapsed, upload, energy, missed, staleness, weight,
-#: status code).
-ReportRow = tuple[int, int, float, float, float, float, bool, int, float, int]
-
 
 @dataclass(frozen=True, eq=False)
 class ReportColumns:
@@ -230,18 +198,8 @@ class ReportColumns:
         return int(self.client.shape[0])
 
     @classmethod
-    def from_rows(
-        cls, client_ids: Sequence[str], rows: Sequence[ReportRow]
-    ) -> "ReportColumns":
-        values = list(zip(*rows)) if rows else [()] * len(_COLUMNS)
-        return cls(
-            client_ids,
-            *(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, _COLUMNS)),
-        )
-
-    @classmethod
     def from_reports(cls, reports: Sequence[FleetReport]) -> "ReportColumns":
-        rows: list[ReportRow] = []
+        rows: list[tuple[Any, ...]] = []
         for i, r in enumerate(reports):
             if r.status not in _STATUS_CODES:
                 raise ConfigurationError(f"unknown report status {r.status!r}")
@@ -250,7 +208,11 @@ class ReportColumns:
                 r.energy, r.missed, r.staleness, r.weight,
                 _STATUS_CODES[r.status],
             ))
-        return cls.from_rows([r.client_id for r in reports], rows)
+        values = list(zip(*rows)) if rows else [()] * len(_COLUMNS)
+        return cls(
+            [r.client_id for r in reports],
+            *(np.array(v, dtype=dtype) for v, (_, dtype) in zip(values, _COLUMNS)),
+        )
 
     def take(self, index: Union[slice, np.ndarray]) -> "ReportColumns":
         """The reports at ``index`` (a slice gives views, a mask copies)."""
@@ -586,9 +548,8 @@ class AsyncFederationEngine:
         ``"reports"`` keeps every client report, as :class:`ReportColumns`
         (``round.reports`` builds the :class:`FleetReport` objects on read);
         ``"stats"`` keeps per-round :class:`RoundStats` aggregates only
-        (O(rounds) memory — the 100k–1M-client shape).  For ``async``,
-        stats mode needs the controller-free, unbounded-staleness fast
-        drain (see :func:`check_detail`).
+        (O(rounds) memory — the 100k–1M-client shape).  Both compose the
+        same scorecard and the same obs trace, in every mode.
     hierarchy:
         Optional :class:`~repro.federated.hierarchy.HierarchySpec`: commit
         through edge aggregators (O(edges) server work) instead of the
@@ -625,28 +586,21 @@ class AsyncFederationEngine:
             raise ConfigurationError(
                 f"unknown fleet mode {mode!r}; available: {', '.join(FLEET_MODES)}"
             )
-        if buffer_size < 1:
-            raise ConfigurationError(f"buffer_size must be >= 1, got {buffer_size}")
+        buffer_size = require_whole("buffer_size", buffer_size, minimum=1)
         if staleness_exponent < 0:
             raise ConfigurationError(
                 f"staleness_exponent must be >= 0, got {staleness_exponent}"
             )
-        if max_staleness is not None and max_staleness < 0:
+        if max_staleness is not None:
+            max_staleness = require_whole("max_staleness", max_staleness)
+        if target_reports is not None:
+            target_reports = require_whole("target_reports", target_reports, minimum=1)
+        if shards is not None:
+            shards = require_whole("shards", shards, minimum=1)
+        if detail not in FLEET_DETAILS:
             raise ConfigurationError(
-                f"max_staleness must be >= 0, got {max_staleness}"
+                f"unknown detail {detail!r}; available: {', '.join(FLEET_DETAILS)}"
             )
-        if target_reports is not None and target_reports < 1:
-            raise ConfigurationError(
-                f"target_reports must be >= 1, got {target_reports}"
-            )
-        if shards is not None and shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        check_detail(
-            detail,
-            mode=mode,
-            controlled=controller is not None,
-            max_staleness=max_staleness,
-        )
         self.clients = list(clients)
         self.mode = mode
         self.link = link if link is not None else LinkModel()
@@ -750,24 +704,31 @@ class AsyncFederationEngine:
             obs.count("servertune.rounds")
         return knobs
 
-    def _feed_controller(
-        self, round_record: FleetRound, result: FleetResult
-    ) -> None:
-        """Report one committed round back to the server controller."""
+    def _feed_controller(self, round_record: FleetRound, committed: float) -> float:
+        """Report one committed round back to the server controller.
+
+        ``committed`` is the energy of the rounds committed before this
+        one, summed left to right from 0 as :attr:`FleetResult.total_energy`
+        sums it (the unclaimed energy it adds is 0.0 until composition
+        ends); returns it with this round's energy added.
+        """
         if self.controller is None:
-            return
+            return committed
+        energy = round_record.total_energy
+        committed += energy
         self.controller.observe(
             RoundFeedback(
                 round_index=round_record.round_index,
                 participants=round_record.participant_count(),
                 buffered=round_record.buffered_count(),
                 stragglers=round_record.straggler_count(),
-                energy=round_record.total_energy,
+                energy=energy,
                 latency=round_record.latency,
-                total_energy=result.total_energy,
+                total_energy=committed,
                 makespan=round_record.completed_at,
             )
         )
+        return committed
 
     def _emit_halt(self, round_index: int, t: Seconds) -> None:
         if self.controller is None:

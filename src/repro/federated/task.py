@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.hardware.devices import DeviceSpec
-from repro.types import require_nonnegative_int
+from repro.types import require_whole
 from repro.workloads.base import WorkloadProfile
 from repro.workloads.zoo import lstm, resnet50, vit
 
@@ -42,19 +42,15 @@ class FLTaskSpec:
     rounds: int = 100
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("batch_size", self.batch_size),
-            ("epochs", self.epochs),
-            ("rounds", self.rounds),
-        ):
-            require_nonnegative_int(name, value)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        for device_name, n in self.minibatches.items():
-            if not isinstance(n, int) or n < 1:
-                raise ConfigurationError(
-                    f"minibatch count for {device_name!r} must be a positive int, got {n!r}"
-                )
+        for name in ("batch_size", "epochs", "rounds"):
+            object.__setattr__(
+                self, name, require_whole(name, getattr(self, name), minimum=1)
+            )
+        minibatches = {
+            device_name: require_whole(f"minibatches[{device_name!r}]", n, minimum=1)
+            for device_name, n in self.minibatches.items()
+        }
+        object.__setattr__(self, "minibatches", minibatches)
 
     @property
     def name(self) -> str:

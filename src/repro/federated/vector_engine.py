@@ -6,10 +6,10 @@ the flattened trace columns of :mod:`repro.federated.eventqueue`.  Its
 semantics are those of a per-event loop — one launch, one upload draw and
 one heap entry per local round — which is kept as a test oracle
 (``tests/federated/reference_fleet.py``); the differential suite holds
-results and obs traces byte-identical to it:
+results and obs traces byte-identical to it.  It has two paths:
 
-* **sync / semisync** (:func:`_run_rounds`): one launch is a fancy-index
-  gather, one round's arrival sort is a single ``lexsort`` on
+* **sync / semisync rounds** (:func:`_run_rounds`): one launch is a
+  fancy-index gather, one round's arrival sort is a single ``lexsort`` on
   ``(arrival, selection order)``, and the cutoff/patience/status logic is
   boolean masks.  A round's reports are gathered into
   :class:`~repro.federated.async_engine.ReportColumns` from the arrays
@@ -17,32 +17,30 @@ results and obs traces byte-identical to it:
   observable — emitting ``fleet.enqueue`` events, feeding an
   energy-aware selector — and is skipped with observability off and no
   observing selector.
-* **async fast drain** (:func:`_run_async_fast`): with no server
-  controller and no staleness bound, the whole FedBuff drain is static —
-  arrival times are per-client chained sums, the drain order is
-  :func:`~repro.federated.eventqueue.resolve_pop_order`, flush positions
-  are a cumulative-sum-modulo mask, and every report's staleness falls
-  out of two ``cumsum`` lookups (committed versions before its pop minus
-  committed versions at its parent's pop).  The live reports' columns
-  are built once in pop order; each round holds a slice of them.
-* **async array walk** (:func:`_run_async_walk`): an adaptive controller
-  or a ``max_staleness`` bound makes flush positions sequentially
-  dependent, so this path walks the drain one event at a time — over the
-  precomputed columns and a plain ``(at, counter, flat)`` heap, with no
-  per-launch RNG draws and no intermediate arrival objects.  It buffers
-  one row tuple per report and hands the rows over as columns at each
-  flush, counting buffered reports as they arrive.  Its halt
-  path sums in-flight energy in raw heap-list order, which is why it
-  keeps a real heap rather than :func:`resolve_pop_order`.
+* **async FedBuff windows** (:func:`_run_async`): every client streams
+  its trace back to back, so arrival times are per-client chained sums
+  and the drain order is
+  :func:`~repro.federated.eventqueue.resolve_pop_order`, whatever the
+  knobs.  The knobs and the staleness bound decide only where each
+  aggregation window closes, and the drain resolves that one window at
+  a time.  It reads the controller's knobs after the previous commit and
+  finds the window's ``threshold``-th aggregatable report by
+  ``searchsorted`` on a prefix count, searching on past every report
+  staler than ``max_staleness``.  A report's staleness is the window's
+  version minus the commits at or before its parent's pop, one
+  ``searchsorted`` on the windows closed so far.  The live reports'
+  columns are built once in pop order; each round holds a slice of
+  them.  A halt sums the in-flight energy in the per-event heap's list
+  order, which :func:`_in_flight_energy` replays only when a halt fires.
 
-The walk and the fast drain commit through :func:`_commit_arrays` and
-emit through :func:`_emit_enqueue_scalar`, as the round path does.
+Both paths commit through :func:`_commit_arrays` and emit through
+:func:`_emit_enqueue_scalar`.
 
 Float discipline, everywhere: sums the per-event semantics accumulate
 left-to-right stay left-to-right (``sum(column.tolist())``, never
 ``np.sum``'s pairwise reduction), arrival times keep the
 ``(start + elapsed) + upload`` association, and staleness discounts are
-computed once per distinct staleness with the exact scalar ``**`` of
+computed once per staleness value with the exact scalar ``**`` of
 :func:`staleness_weight`.
 """
 
@@ -63,7 +61,6 @@ from repro.federated.async_engine import (
     FleetResult,
     FleetRound,
     ReportColumns,
-    ReportRow,
     RoundStats,
     staleness_weight,
 )
@@ -81,9 +78,7 @@ from repro.types import Seconds
 def run_vectorized(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     """Compose ``rounds`` of fleet activity on the structured-array path."""
     if engine.mode == "async":
-        if engine.controller is None and engine.max_staleness is None:
-            return _run_async_fast(engine, rounds)
-        return _run_async_walk(engine, rounds)
+        return _run_async(engine, rounds)
     return _run_rounds(engine, rounds)
 
 
@@ -200,6 +195,7 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     stats_mode = engine.detail == "stats"
     result = FleetResult(mode=engine.mode, n_clients=n)
     version = 0
+    committed = 0.0
     now: Seconds = 0.0
     for round_index in range(rounds):
         knobs = engine._round_knobs(round_index)
@@ -342,313 +338,198 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
         )
         result.rounds.append(round_record)
         engine._emit_round(round_record)
-        engine._feed_controller(round_record, result)
+        committed = engine._feed_controller(round_record, committed)
         now = round_record.completed_at
     return result
 
 
-# -- async: static fast drain ------------------------------------------------
+# -- async: FedBuff windows -------------------------------------------------
 
 
-def _staleness_discounts(
-    staleness: np.ndarray, exponent: float
-) -> np.ndarray:
-    """Per-event discount via the exact scalar power, one per distinct value."""
-    if staleness.shape[0] == 0:
-        return np.zeros(0)
-    uniq, inverse = np.unique(staleness, return_inverse=True)
-    table = np.fromiter(
-        (staleness_weight(int(s), exponent) for s in uniq.tolist()),
-        dtype=float,
-        count=uniq.shape[0],
-    )
-    return table[inverse]
+def _in_flight_energy(
+    arrays: FleetTraceArrays, at: np.ndarray, halt_pos: int
+) -> float:
+    """Energy left on the FedBuff heap once a halt pops event ``halt_pos``.
+
+    Summed in the heap's list order, as the per-event drain sums it: the
+    ``(at, push counter)`` pushes and pops are replayed up to the halt,
+    so only a halting run pays for this.
+    """
+    at_list = at.tolist()
+    energy = arrays.energy.tolist()
+    last = set((arrays.offsets[1:][arrays.lengths > 0] - 1).tolist())
+    offsets = arrays.offsets.tolist()
+    heap: list[tuple[float, int, int]] = []
+    counter = 0
+    for start, end in zip(offsets[:-1], offsets[1:]):
+        if start < end:
+            heapq.heappush(heap, (at_list[start], counter, start))
+            counter += 1
+    for _ in range(halt_pos):
+        flat = heapq.heappop(heap)[2]
+        if flat not in last:
+            heapq.heappush(heap, (at_list[flat + 1], counter, flat + 1))
+            counter += 1
+    heapq.heappop(heap)  # the halted event itself
+    return sum(energy[entry[2]] for entry in heap)
 
 
-def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
-    """FedBuff drain with static flush schedule (no controller/staleness bound)."""
+def _run_async(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
+    """The FedBuff drain, resolved one aggregation window at a time."""
     arrays = build_trace_arrays(
         engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
     )
     n = arrays.n_clients
-    result = FleetResult(mode="async", n_clients=n)
-    n_events = arrays.n_events
-    if n_events == 0:
-        result.unclaimed_energy = 0.0
-        return result
     ids = arrays.client_ids
-    offsets = arrays.offsets
-    lengths = arrays.lengths
+    result = FleetResult(mode="async", n_clients=n)
     at = async_arrival_times(arrays)
-    pop = resolve_pop_order(at, offsets)
-    client_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    starts = np.repeat(offsets[:-1], lengths)
-    local_of = np.arange(n_events, dtype=np.int64) - starts
-    p_client = client_of[pop]
-    p_local = local_of[pop]
-    p_at = at[pop]
-    p_dropped = arrays.dropped[pop]
-    p_missed = arrays.missed[pop]
-    live = ~p_dropped
-    buffered_flag = live & ~p_missed
-    cum = np.cumsum(buffered_flag)
-    threshold = engine.buffer_size
-    flush_flag = buffered_flag & (cum % threshold == 0)
-    flushes = np.cumsum(flush_flag)
-    version_before = flushes - flush_flag
-    pos_of = np.empty(n_events, dtype=np.int64)
-    pos_of[pop] = np.arange(n_events)
-    parent_pos = pos_of[np.maximum(pop - 1, 0)]
-    version_started = np.where(p_local > 0, flushes[parent_pos], 0)
-    staleness = version_before - version_started
-    weights = np.zeros(n_events)
-    weights[buffered_flag] = arrays.n_samples[p_client[buffered_flag]] * (
-        _staleness_discounts(
-            staleness[buffered_flag], engine.staleness_exponent
-        )
-    )
-    progress = (p_local + 1) / np.maximum(lengths, 1)[p_client]
+    pop = resolve_pop_order(at, arrays.offsets)
+    # Every live report's columns in pop order; each round holds a slice.
+    live = ~arrays.dropped[pop]
+    live_flat = pop[live]
+    dropped_flat = pop[~live]
+    client_of = np.repeat(np.arange(n, dtype=np.int64), arrays.lengths)
+    client = client_of[live_flat]
+    local_round = live_flat - arrays.offsets[client]
+    arrival = at[live_flat]
+    energy = arrays.energy[live_flat]
+    missed = arrays.missed[live_flat]
+    staleness = np.zeros(live_flat.shape[0], dtype=np.int64)
+    weight = np.zeros(live_flat.shape[0])
+    status = np.where(missed, STRAGGLER, BUFFERED).astype(np.int8)
+    # Live reports popped up to each event.  A report's model version is
+    # the number of windows closed before its parent's count (0 for a
+    # first launch); a dropout joins the window open after its count.
+    live_seen = np.cumsum(live)
+    seen_by_flat = np.empty_like(live_seen)
+    seen_by_flat[pop] = live_seen
+    parent_seen = np.where(local_round > 0, seen_by_flat[live_flat - 1], 0)
+    dropped_seen = live_seen[~live]
+    dropped_client = client_of[dropped_flat]
+    del client_of, live_seen, seen_by_flat
+    aggregatable = np.cumsum(~missed)
+    n_live = live_flat.shape[0]
+    n_windows = int(aggregatable[-1]) if n_live else 0
+    closes = np.zeros(n_windows, dtype=np.int64)  # each window's last report
+    discount = np.zeros(n_windows + 1)  # staleness s -> its weight discount
+    progress_div = np.maximum(arrays.lengths, 1)
     index_arr = _client_indices(engine)
     stats_mode = engine.detail == "stats"
     emitting = obs.enabled()
-    flush_positions = np.flatnonzero(flush_flag)
-    version = 0
-    window_start = 0  # first pop position of the open window
-    flushed_at: Seconds = 0.0
-
     if not stats_mode:
-        # Every live report's columns in pop order, built once; each
-        # window's round holds a slice (views) of them.
-        live_flat = pop[live]
-        live_missed = p_missed[live]
         columns = ReportColumns(
             client_ids=ids,
-            client=p_client[live],
-            local_round=p_local[live],
-            arrival=p_at[live],
+            client=client,
+            local_round=local_round,
+            arrival=arrival,
             train_elapsed=arrays.elapsed[live_flat],
             upload=arrays.upload[live_flat],
-            energy=arrays.energy[live_flat],
-            missed=live_missed,
-            staleness=staleness[live],
-            weight=weights[live],
-            status=np.where(live_missed, STRAGGLER, BUFFERED).astype(np.int8),
+            energy=energy,
+            missed=missed,
+            staleness=staleness,
+            weight=weight,
+            status=status,
         )
-        # Live reports before each pop position: a window's column slice.
-        live_rank = np.concatenate(([0], np.cumsum(live)))
-
-    def _emit_window(lo: int, hi: int, round_index: int) -> None:
-        """``fleet.enqueue`` for the live reports in pop span [lo, hi)."""
-        keep = live[lo:hi]
-        for c, local_round, arrival, stale, missed in zip(
-            p_client[lo:hi][keep].tolist(),
-            p_local[lo:hi][keep].tolist(),
-            p_at[lo:hi][keep].tolist(),
-            staleness[lo:hi][keep].tolist(),
-            p_missed[lo:hi][keep].tolist(),
-        ):
-            _emit_enqueue_scalar(
-                arrival, round_index, ids[c], local_round, stale,
-                "straggler" if missed else "buffered",
-            )
-
-    for w, j in enumerate(flush_positions.tolist()):
-        hi = j + 1
-        span = slice(window_start, hi)
-        live_span = live[span]
-        buf_span = buffered_flag[span]
-        window_clients = p_client[span][live_span]
-        participants = sorted({ids[int(c)] for c in np.unique(window_clients)})
+    lo = 0  # the open window's first live report
+    d_lo = 0  # ... and first dropout
+    committed = 0.0
+    flushed_at: Seconds = 0.0
+    knobs = engine._round_knobs(0)
+    while True:
+        w = len(result.rounds)  # also the model version: each window commits
+        if knobs is not None and knobs.halt and lo + d_lo < arrays.n_events:
+            # The halt fires at the window's first pop, with nothing
+            # buffered: the dropouts popped so far, that event and all
+            # still in flight burned energy no window claims.
+            halted = int(pop[lo + d_lo])
+            engine._emit_halt(w, float(at[halted]))
+            pending = sum(arrays.energy[dropped_flat[:d_lo]].tolist())
+            pending += float(arrays.energy[halted])
+            pending += _in_flight_energy(arrays, at, lo + d_lo)
+            result.unclaimed_energy = float(pending)
+            return result
+        threshold = engine.buffer_size
+        if knobs is not None and knobs.buffer_scale != 1.0:
+            threshold = max(1, round(threshold * knobs.buffer_scale))
+        discount[w] = staleness_weight(w, engine.staleness_exponent)
+        # The close is the threshold-th aggregatable report; every stale
+        # one found on the way pushes it one aggregatable report further.
+        need = threshold + (int(aggregatable[lo - 1]) if lo else 0)
+        hi = lo
+        while True:
+            close = int(np.searchsorted(aggregatable, need))
+            span = slice(hi, min(close + 1, n_live))
+            hi = span.stop
+            staleness[span] = w - np.searchsorted(closes[:w], parent_seen[span])
+            if engine.max_staleness is None:
+                break
+            stale = (staleness[span] > engine.max_staleness) & ~missed[span]
+            n_stale = int(np.count_nonzero(stale))
+            status[span][stale] = STALE
+            if n_stale == 0 or close >= n_live:
+                break
+            need += n_stale
+        span = slice(lo, hi)
+        if emitting:
+            for c, local, t, stale_by, code in zip(
+                client[span].tolist(),
+                local_round[span].tolist(),
+                arrival[span].tolist(),
+                staleness[span].tolist(),
+                status[span].tolist(),
+            ):
+                _emit_enqueue_scalar(
+                    t, w, ids[c], local, stale_by, REPORT_STATUSES[code]
+                )
+        if close >= n_live:
+            break  # a trailing partial buffer is never committed
+        d_hi = int(np.searchsorted(dropped_seen, close, side="right"))
+        buffered = lo + np.flatnonzero(status[span] == BUFFERED)
+        contributors = client[buffered]
+        weight[buffered] = (
+            arrays.n_samples[contributors] * discount[staleness[buffered]]
+        )
+        participants = sorted({ids[c] for c in client[span].tolist()})
         round_record = FleetRound(
             round_index=w,
-            started_at=float(flushed_at),
-            completed_at=float(p_at[j]),
+            started_at=flushed_at,
+            completed_at=float(arrival[close]),
             participants=participants,
         )
-        if emitting:
-            _emit_window(window_start, hi, w)
         if stats_mode:
-            pop_span = pop[span]
-            energy_total = float(
-                sum(arrays.energy[pop_span[live_span]].tolist())
-            )
+            counts = np.bincount(status[span], minlength=len(REPORT_STATUSES))
             round_record.stats = RoundStats(
                 n_participants=len(participants),
-                n_reports=int(np.count_nonzero(live_span)),
-                n_dropped=int(np.count_nonzero(~live_span)),
-                n_buffered=int(np.count_nonzero(buf_span)),
-                n_straggler=int(
-                    np.count_nonzero(live_span) - np.count_nonzero(buf_span)
-                ),
+                n_reports=hi - lo,
+                n_dropped=d_hi - d_lo,
+                n_buffered=int(counts[BUFFERED]),
+                n_straggler=int(counts[STRAGGLER]),
                 n_cutoff=0,
-                n_stale=0,
-                energy=energy_total,
-                staleness_sum=int(staleness[span][buf_span].sum()),
+                n_stale=int(counts[STALE]),
+                energy=float(sum(energy[span].tolist())),
+                staleness_sum=int(staleness[buffered].sum()),
             )
         else:
             round_record.dropped = [
-                ids[c] for c in p_client[span][~live_span].tolist()
+                ids[c] for c in dropped_client[d_lo:d_hi].tolist()
             ]
-            round_record.columns = columns.take(
-                slice(int(live_rank[window_start]), int(live_rank[hi]))
-            )
-        sel = np.flatnonzero(buf_span) + window_start
-        version = _commit_arrays(
+            round_record.columns = columns.take(span)
+        _commit_arrays(
             engine,
             round_record,
-            version,
-            progresses=progress[sel],
-            weights=weights[sel],
-            client_index_values=index_arr[p_client[sel]],
+            w,
+            progresses=(local_round[buffered] + 1) / progress_div[contributors],
+            weights=weight[buffered],
+            client_index_values=index_arr[contributors],
         )
         result.rounds.append(round_record)
         engine._emit_round(round_record)
-        engine._feed_controller(round_record, result)
-        flushed_at = float(p_at[j])
-        window_start = hi
-    # Trailing partial buffer: processed (and enqueue-emitted) but never
-    # flushed; its energy joins the dropouts' as unclaimed.
-    if window_start < n_events and emitting:
-        _emit_window(window_start, n_events, len(result.rounds))
-    pending = sum(arrays.energy[pop[~live]].tolist())
-    trailing_live = pop[window_start:][live[window_start:]]
-    trailing = sum(arrays.energy[trailing_live].tolist())
-    result.unclaimed_energy = float(pending + trailing)
-    return result
-
-
-# -- async: sequential array walk -------------------------------------------
-
-
-def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
-    """The FedBuff drain walked event by event (controller-aware).
-
-    Flush positions depend on adaptive knobs (buffer rescale, halt) or a
-    staleness bound, so this path pops events one at a time from an
-    ``(at, push counter)`` heap — the per-event semantics' keys and
-    push/pop sequence, hence the same internal heap layout the halt
-    path's energy sweep depends on.
-    """
-    arrays = build_trace_arrays(
-        engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
-    )
-    n = arrays.n_clients
-    ids = arrays.client_ids
-    offsets = arrays.offsets
-    progress_div = np.maximum(arrays.lengths, 1)
-    index_arr = _client_indices(engine)
-    at = async_arrival_times(arrays)
-    emitting = obs.enabled()
-    result = FleetResult(mode="async", n_clients=n)
-    # Heap entries: (arrival, push counter, flat event, version at launch).
-    heap: list[tuple[float, int, int, int]] = []
-    counter = 0
-    for i in range(n):
-        start = int(offsets[i])
-        if start == int(offsets[i + 1]):
-            continue
-        heapq.heappush(heap, (float(at[start]), counter, start, 0))
-        counter += 1
-    # The open buffer: one row per report, laid out as ReportColumns.
-    buffer: list[ReportRow] = []
-    n_buffered = 0
-    pending_energy = 0.0
-    pending_dropped: list[str] = []
-    version = 0
-    flushed_at: Seconds = 0.0
-    knobs = engine._round_knobs(0)
-    while heap:
-        arrival_at, _, flat, version_started = heapq.heappop(heap)
-        client_pos = int(np.searchsorted(offsets, flat, side="right")) - 1
-        cid = ids[client_pos]
-        round_index = len(result.rounds)
-        if knobs is not None and knobs.halt:
-            engine._emit_halt(round_index, arrival_at)
-            pending_energy += float(arrays.energy[flat])
-            pending_energy += sum(
-                float(arrays.energy[entry[2]]) for entry in heap
-            )
-            heap.clear()
-            break
-        flush = False
-        if arrays.dropped[flat]:
-            pending_dropped.append(cid)
-            pending_energy += float(arrays.energy[flat])
-        else:
-            staleness = version - version_started
-            missed = bool(arrays.missed[flat])
-            if missed:
-                status = STRAGGLER
-            elif (
-                engine.max_staleness is not None
-                and staleness > engine.max_staleness
-            ):
-                status = STALE
-            else:
-                status = BUFFERED
-            local_round = int(flat - offsets[client_pos])
-            arrival = float(arrival_at)
-            if emitting:
-                _emit_enqueue_scalar(
-                    arrival, round_index, cid, local_round, staleness,
-                    REPORT_STATUSES[status],
-                )
-            weight = 0.0
-            if status == BUFFERED:
-                n_buffered += 1
-                weight = float(arrays.n_samples[client_pos]) * staleness_weight(
-                    staleness, engine.staleness_exponent
-                )
-            buffer.append((
-                client_pos,
-                local_round,
-                arrival,
-                float(arrays.elapsed[flat]),
-                float(arrays.upload[flat]),
-                float(arrays.energy[flat]),
-                missed,
-                staleness,
-                weight,
-                status,
-            ))
-            threshold = engine.buffer_size
-            if knobs is not None and knobs.buffer_scale != 1.0:
-                threshold = max(1, round(threshold * knobs.buffer_scale))
-            flush = n_buffered >= threshold
-        if flush:
-            columns = ReportColumns.from_rows(ids, buffer)
-            round_record = FleetRound(
-                round_index=round_index,
-                started_at=flushed_at,
-                completed_at=float(arrival_at),
-                participants=sorted({ids[row[0]] for row in buffer}),
-                dropped=pending_dropped,
-                columns=columns,
-            )
-            kept = columns.status == BUFFERED
-            positions = columns.client[kept]
-            version = _commit_arrays(
-                engine,
-                round_record,
-                version,
-                progresses=(columns.local_round[kept] + 1) / progress_div[positions],
-                weights=columns.weight[kept],
-                client_index_values=index_arr[positions],
-            )
-            result.rounds.append(round_record)
-            engine._emit_round(round_record)
-            engine._feed_controller(round_record, result)
-            knobs = engine._round_knobs(len(result.rounds))
-            flushed_at = float(arrival_at)
-            buffer = []
-            n_buffered = 0
-            pending_dropped = []
-        next_flat = flat + 1
-        if next_flat < int(offsets[client_pos + 1]):
-            heapq.heappush(
-                heap, (float(at[next_flat]), counter, next_flat, version)
-            )
-            counter += 1
-    # row[5] is the report's energy.
-    result.unclaimed_energy = pending_energy + sum(row[5] for row in buffer)
+        committed = engine._feed_controller(round_record, committed)
+        knobs = engine._round_knobs(len(result.rounds))
+        closes[w] = close
+        flushed_at = round_record.completed_at
+        lo, d_lo = hi, d_hi
+    # The trailing buffer and every dropout burned energy no window claims.
+    pending = sum(arrays.energy[dropped_flat].tolist())
+    result.unclaimed_energy = float(pending + sum(energy[lo:].tolist()))
     return result

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.obs import runtime as obs
+from repro.types import require_whole
 
 #: Search nodes one :func:`solve_schedule` call may visit, the root
 #: included.  Workload instances need at most a few thousand; a front whose
@@ -77,9 +78,7 @@ class ScheduleProblem:
             raise ConfigurationError("latencies and energies must be finite")
         if np.any(lat <= 0) or np.any(en <= 0):
             raise ConfigurationError("latencies and energies must be positive")
-        if not float(self.jobs).is_integer() or self.jobs < 1:
-            raise ConfigurationError(f"jobs must be a whole number >= 1, got {self.jobs}")
-        object.__setattr__(self, "jobs", int(self.jobs))
+        object.__setattr__(self, "jobs", require_whole("jobs", self.jobs, minimum=1))
         if not (math.isfinite(self.deadline) and self.deadline > 0):
             raise ConfigurationError(
                 f"deadline must be positive and finite, got {self.deadline}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.types import Joules, Schedule, Seconds
+from repro.types import Joules, Schedule, Seconds, require_whole
 
 #: Bump whenever the request token layout or the serialized plan format
 #: changes; older decision-cache entries then read as misses.
@@ -59,11 +59,7 @@ class DecisionRequest:
             raise ConfigurationError("request device must be non-empty")
         if not self.task:
             raise ConfigurationError("request task must be non-empty")
-        if not float(self.jobs).is_integer() or self.jobs < 1:
-            raise ConfigurationError(
-                f"request jobs must be a whole number >= 1, got {self.jobs}"
-            )
-        object.__setattr__(self, "jobs", int(self.jobs))
+        object.__setattr__(self, "jobs", require_whole("jobs", self.jobs, minimum=1))
         if not (math.isfinite(self.deadline) and self.deadline > 0):
             raise ConfigurationError(
                 f"request deadline must be positive and finite, got {self.deadline}"
@@ -129,7 +125,7 @@ class DecisionRequest:
             return cls(
                 device=str(raw["device"]),
                 task=str(raw["task"]),
-                jobs=float(raw["jobs"]),  # type: ignore[arg-type]
+                jobs=raw["jobs"],  # type: ignore[arg-type]
                 deadline=float(raw["deadline"]),  # type: ignore[arg-type]
                 safety_margin=float(raw.get("safety_margin", 0.02)),  # type: ignore[arg-type]
                 client_id=str(raw.get("client_id", "")),

@@ -49,6 +49,7 @@ from repro.errors import ConfigurationError
 from repro.federated.choices import FLEET_MODES
 from repro.federated.transport import MODEL_SIZES_MBIT
 from repro.sim.choices import FLEET_SELECTORS
+from repro.types import require_whole
 
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule, FaultSpec
@@ -115,10 +116,22 @@ class FleetSpec:
     edges: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ConfigurationError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
+        # Counts are whole numbers (integral floats normalize to int; bools,
+        # NaN, inf and fractions raise), the optional ones only when set.
+        for name, minimum, optional in (
+            ("n_clients", 1, False),
+            ("rounds", 1, False),
+            ("archetypes", 1, True),
+            ("participants", 1, True),
+            ("buffer_size", 1, False),
+            ("max_staleness", 0, True),
+            ("edges", 1, True),
+        ):
+            value = getattr(self, name)
+            if not (optional and value is None):
+                object.__setattr__(
+                    self, name, require_whole(name, value, minimum=minimum)
+                )
         if self.mode not in FLEET_MODES:
             raise ConfigurationError(
                 f"unknown fleet mode {self.mode!r}; available: "
@@ -141,29 +154,13 @@ class FleetSpec:
                     f"no model size known for task {task!r}; available: "
                     f"{', '.join(sorted(MODEL_SIZES_MBIT))}"
                 )
-        if self.archetypes is not None and self.archetypes < 1:
-            raise ConfigurationError(
-                f"archetypes must be >= 1 or None, got {self.archetypes}"
-            )
-        if self.participants is not None and self.participants < 1:
-            raise ConfigurationError(
-                f"participants must be >= 1 or None, got {self.participants}"
-            )
         if not (math.isfinite(self.over_selection) and self.over_selection >= 1.0):
             raise ConfigurationError(
                 f"over_selection must be finite and >= 1, got {self.over_selection}"
             )
-        if self.buffer_size < 1:
-            raise ConfigurationError(
-                f"buffer_size must be >= 1, got {self.buffer_size}"
-            )
         if not (math.isfinite(self.staleness_exponent) and self.staleness_exponent >= 0):
             raise ConfigurationError(
                 f"staleness_exponent must be finite and >= 0, got {self.staleness_exponent}"
-            )
-        if self.max_staleness is not None and self.max_staleness < 0:
-            raise ConfigurationError(
-                f"max_staleness must be >= 0 or None, got {self.max_staleness}"
             )
         if self.selector not in FLEET_SELECTORS:
             raise ConfigurationError(
@@ -173,10 +170,6 @@ class FleetSpec:
         if not 0.0 <= self.chaos_fraction <= 1.0:
             raise ConfigurationError(
                 f"chaos_fraction must lie in [0, 1], got {self.chaos_fraction}"
-            )
-        if self.edges is not None and self.edges < 1:
-            raise ConfigurationError(
-                f"edges must be >= 1 or None, got {self.edges}"
             )
 
     def effective_participants(self) -> int:

@@ -269,13 +269,6 @@ def require_fraction(name: str, value: float, *, inclusive: bool = True) -> floa
     return float(value)
 
 
-def require_nonnegative_int(name: str, value: int) -> int:
-    """Validate that ``value`` is an integer >= 0 and return it."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
 def require_whole(name: str, value: object, *, minimum: int = 0) -> int:
     """Validate that ``value`` is a whole number >= ``minimum``; return an int.
 

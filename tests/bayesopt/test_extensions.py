@@ -128,3 +128,19 @@ class TestParEGO:
             )
         with pytest.raises(OptimizationError):
             suggester.fit()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["latency", "energy"])
+    def test_rejects_non_finite_observations(self, seeded, tiny_spec, field, bad):
+        """A stored NaN used to surface only at the next fit, in scipy."""
+        suggester, _ = seeded
+        values = {"latency": 1.0, "energy": 1.0, field: bad}
+        unobserved = next(
+            c for c in tiny_spec.space if c not in suggester._observations
+        )
+        with pytest.raises(OptimizationError, match=f"{field}.*{bad}"):
+            suggester.add_observation(
+                unobserved, values["latency"], values["energy"]
+            )
+        assert suggester.n_observations == 12
+        suggester.fit()

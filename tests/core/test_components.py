@@ -302,6 +302,12 @@ class TestStoppingCondition:
         with pytest.raises(ValueError):
             StoppingCondition(0, 0.01).record_hypervolume(-1.0)
 
+    def test_min_explored_is_a_whole_number(self):
+        assert type(StoppingCondition(3.0, 0.01).min_explored) is int
+        for bad in (-1, 2.5, True, float("nan")):
+            with pytest.raises(ConfigurationError, match="min_explored"):
+                StoppingCondition(bad, 0.01)
+
 
 class TestPhases:
     def test_order(self):

@@ -220,6 +220,7 @@ class _ReferenceLoop:
         engine = self.engine
         result = FleetResult(mode=engine.mode, n_clients=len(engine.clients))
         version = 0
+        committed = 0.0
         now: Seconds = 0.0
         for round_index in range(rounds):
             knobs = engine._round_knobs(round_index)
@@ -295,7 +296,7 @@ class _ReferenceLoop:
             version = self._commit(round_record, version)
             result.rounds.append(round_record)
             engine._emit_round(round_record)
-            engine._feed_controller(round_record, result)
+            committed = engine._feed_controller(round_record, committed)
             now = round_record.completed_at
         return result
 
@@ -349,6 +350,7 @@ class _ReferenceLoop:
         engine = self.engine
         result = FleetResult(mode="async", n_clients=len(engine.clients))
         version = 0
+        committed = 0.0
         flushed_at: Seconds = 0.0
         heap: list[tuple[Seconds, int, _Arrival]] = []
         order = 0
@@ -425,7 +427,7 @@ class _ReferenceLoop:
                 version = self._commit(round_record, version)
                 result.rounds.append(round_record)
                 engine._emit_round(round_record)
-                engine._feed_controller(round_record, result)
+                committed = engine._feed_controller(round_record, committed)
                 # Knobs advance per commit, not per arrival.
                 knobs = engine._round_knobs(len(result.rounds))
                 flushed_at = arrival.at

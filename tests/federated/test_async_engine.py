@@ -10,6 +10,8 @@ from repro.federated.async_engine import (
     FLEET_MODES,
     AsyncFederationEngine,
     FleetClient,
+    FleetResult,
+    FleetRound,
     staleness_weight,
 )
 from repro.federated.selection import RandomSelector
@@ -100,6 +102,18 @@ class TestEngineValidation:
         with pytest.raises(ConfigurationError):
             AsyncFederationEngine(clients).run(0)
         assert set(FLEET_MODES) == {"sync", "semisync", "async"}
+
+    @pytest.mark.parametrize(
+        "knob", ["buffer_size", "max_staleness", "target_reports", "shards"]
+    )
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "3"])
+    def test_whole_number_knobs(self, knob, bad):
+        """A fractional buffer used to flush every 5th report without a
+        staleness bound and every 3rd with one; NaN bounded nothing."""
+        with pytest.raises(ConfigurationError, match=f"{knob} must be a whole"):
+            AsyncFederationEngine(make_fleet(2), **{knob: bad})
+        engine = AsyncFederationEngine(make_fleet(2), **{knob: 3.0})
+        assert type(getattr(engine, knob)) is int
 
 
 class TestSyncMode:
@@ -332,6 +346,62 @@ class TestAsyncMode:
             ).run(3)
 
         assert compose().to_dict() == compose().to_dict()
+
+
+class TestControllerFeedback:
+    """The controller's running ``total_energy`` is the result's, bit for
+    bit, and each commit sums one round's energy, not every round's."""
+
+    @staticmethod
+    def recorded(name):
+        controller = make_server_controller(ServerTuneSpec(name, patience=2))
+        seen = []
+        observe = controller.observe
+        controller.observe = lambda feedback: (seen.append(feedback), observe(feedback))
+        return controller, seen
+
+    MODES = {
+        "sync": lambda: dict(mode="sync", selector=RandomSelector(6, seed=0)),
+        "semisync": lambda: dict(
+            mode="semisync", selector=RandomSelector(6, seed=0), target_reports=4
+        ),
+        "async": lambda: dict(mode="async", buffer_size=3),
+    }
+
+    @pytest.mark.parametrize("name", ["fedgpo", "fedtune"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_total_energy_matches_the_result_at_each_commit(self, mode, name):
+        clients = [
+            make_client(i, elapsed=5.0 + 0.7 * i, energy=10.0 / (i + 3), rounds=6)
+            for i in range(9)
+        ]
+        controller, seen = self.recorded(name)
+        result = AsyncFederationEngine(
+            clients, link=LinkModel(), controller=controller, **self.MODES[mode]()
+        ).run(6)
+        assert len(seen) == len(result.rounds) > 1
+        for k, feedback in enumerate(seen):
+            prefix = FleetResult(mode, len(clients), rounds=result.rounds[: k + 1])
+            assert feedback.total_energy.hex() == prefix.total_energy.hex()
+
+    def test_each_commit_reads_one_round_energy(self, monkeypatch):
+        reads = []
+        energy = FleetRound.total_energy
+        monkeypatch.setattr(
+            FleetRound,
+            "total_energy",
+            property(lambda rnd: (reads.append(rnd), energy.fget(rnd))[1]),
+        )
+        controller, _ = self.recorded("fedgpo")
+        result = AsyncFederationEngine(
+            make_fleet(10, spread=0.5, rounds=12),
+            mode="async",
+            link=LinkModel(**FIXED_LINK),
+            buffer_size=2,
+            controller=controller,
+        ).run(12)
+        assert len(result.rounds) >= 40
+        assert len(reads) == len(result.rounds)
 
 
 class TestInputsUntouched:

@@ -51,13 +51,13 @@ BASE = dict(
     seed=11,
 )
 
-#: One spec per composition path: sync rounds, semisync rounds, the
-#: static async fast drain, and the async walk (a staleness bound).
+#: One spec per composition shape: sync rounds, semisync rounds, and the
+#: FedBuff drain with and without a staleness bound.
 PATHS = {
     "sync": dict(mode="sync"),
     "semisync": dict(mode="semisync", participants=8),
-    "async-fast": dict(mode="async", buffer_size=4),
-    "async-walk": dict(mode="async", buffer_size=4, max_staleness=1),
+    "async": dict(mode="async", buffer_size=4),
+    "async-max-staleness": dict(mode="async", buffer_size=4, max_staleness=1),
 }
 
 #: A 2,000-client, 10-round fleet over cheap controllers: the report
@@ -71,6 +71,12 @@ LARGE = FleetSpec(
 #: ``LARGE`` retained under tracemalloc when every report was a
 #: :class:`FleetReport` object (measured before the columns, CPython 3.11).
 OBJECT_RETAINED_BYTES = 5.65 * 2**20
+
+#: Ceiling on the traced heap peak of a reports-mode async compose of
+#: ``LARGE`` (buffer 200, 20,000 reports): it measures about 3.5 MiB with
+#: or without a staleness bound, and a drain holding some twenty
+#: full-length per-event temporaries measured 5.37 MiB.
+ASYNC_PEAK_BYTES = 4.5 * 2**20
 
 
 def smoke_digests() -> dict[str, str]:
@@ -209,3 +215,19 @@ class TestReportsModeCost:
             tracemalloc.stop()
         assert sum(rnd.report_count() for rnd in result.rounds) == 20_000
         assert retained <= 0.4 * OBJECT_RETAINED_BYTES
+
+    @pytest.mark.parametrize("max_staleness", [None, 1000])
+    def test_async_compose_peak_stays_bounded(self, large_fleet, max_staleness):
+        spec = dataclasses.replace(
+            LARGE, mode="async", buffer_size=200, max_staleness=max_staleness
+        )
+        compose_fleet(spec, large_fleet)  # warm caches and lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = compose_fleet(spec, large_fleet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.rounds) == 100
+        assert peak <= ASYNC_PEAK_BYTES

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.federated.deadlines import StaticDeadlines, UniformDeadlines
 from repro.federated.task import (
+    FLTaskSpec,
     cifar10_vit,
     imagenet_resnet50,
     imdb_lstm,
@@ -43,6 +44,24 @@ class TestTable2Specs:
     def test_unknown_device_raises(self, tiny_spec):
         with pytest.raises(ConfigurationError):
             cifar10_vit().jobs_per_round(tiny_spec)
+
+    def test_whole_number_fields(self):
+        """Integral floats normalize (as ``BoFLConfig``'s do); bools,
+        fractions and non-finite counts raise naming the field."""
+        base = cifar10_vit()
+        task = FLTaskSpec(
+            base.workload, batch_size=32.0, epochs=1.0, rounds=5.0,
+            minibatches={"agx": 40.0},
+        )
+        assert (task.batch_size, task.epochs, task.rounds) == (32, 1, 5)
+        assert all(type(v) is int for v in (task.epochs, task.minibatches["agx"]))
+        for name in ("batch_size", "epochs", "rounds"):
+            for bad in (0, 1.5, True, float("nan")):
+                with pytest.raises(ConfigurationError, match=f"{name} must be a whole"):
+                    FLTaskSpec(base.workload, **{"batch_size": 8, "epochs": 1, name: bad})
+        for bad in (0, 2.5, True):
+            with pytest.raises(ConfigurationError, match="minibatches"):
+                FLTaskSpec(base.workload, 8, 1, minibatches={"agx": bad})
 
 
 class TestUniformDeadlines:

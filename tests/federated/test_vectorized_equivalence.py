@@ -17,7 +17,6 @@ from unittest import mock
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigurationError
 from repro.federated.aggregation import FedAvg
 from repro.federated.async_engine import AsyncFederationEngine
 from repro.federated.hierarchy import HierarchySpec
@@ -246,32 +245,33 @@ class TestComposeFleetEquivalence:
         assert flat_probes != edge_probes
 
 
+#: One spec per composition shape stats mode must match: both round
+#: disciplines, the static FedBuff drain, a staleness bound, buffer
+#: rescaling and a halt.
+STATS_CASES = {
+    "sync": dict(BASE, mode="sync", seed=17),
+    "semisync": dict(BASE, mode="semisync", seed=17),
+    "async": dict(BASE, mode="async", seed=17),
+    "async-max-staleness": SCENARIOS["async-max-staleness"],
+    "async-tuned": TUNED["async-tuned"],
+    "async-halting": TUNED["async-halting"],
+}
+
+
 class TestStatsDetail:
     """detail="stats" carries the same scorecard without report objects."""
 
-    @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
-    def test_stats_summary_matches_reports(self, mode, trace_cache):
-        spec = FleetSpec(**dict(BASE, mode=mode, seed=17))
+    @pytest.mark.parametrize("name", list(STATS_CASES))
+    def test_stats_summary_matches_reports(self, name, trace_cache):
+        spec = FleetSpec(**STATS_CASES[name])
         clients = trace_cache(spec)
         _, s_rep, _, t_rep = compose_with(spec, clients)
         result, s_st, _, t_st = compose_with(spec, clients, detail="stats")
         assert s_rep == s_st
         assert t_rep == t_st  # emission is independent of materialization
+        assert result.rounds
         assert all(not r.reports for r in result.rounds)
         assert all(r.stats is not None for r in result.rounds)
-
-    @pytest.mark.parametrize("bound", ["max-staleness", "controller"])
-    def test_stats_async_walk_is_rejected_at_construction(self, bound, trace_cache):
-        """Stats mode has no per-event walk: refuse before any work runs."""
-        spec = FleetSpec(**dict(BASE, mode="async", seed=17))
-        if bound == "max-staleness":
-            knobs = dict(max_staleness=1)
-        else:
-            knobs = dict(controller=make_server_controller(ServerTuneSpec("fedgpo")))
-        with pytest.raises(ConfigurationError, match="static fast drain"):
-            AsyncFederationEngine(
-                trace_cache(spec), mode="async", detail="stats", **knobs
-            )
 
     @pytest.mark.parametrize("mode", ["sync", "semisync"])
     def test_stats_accepts_controlled_rounds(self, mode, trace_cache):

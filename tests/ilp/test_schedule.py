@@ -44,6 +44,11 @@ class TestProblemValidation:
             problem([0.1], [1.0], 10.9, 5.0)
         assert problem([0.1], [1.0], 10.0, 5.0).jobs == 10
 
+    @pytest.mark.parametrize("bad", [True, "3", 0, float("nan")])
+    def test_rejects_non_whole_jobs(self, bad):
+        with pytest.raises(ConfigurationError, match="jobs must be a whole"):
+            problem([0.1], [1.0], bad, 5.0)
+
     def test_safety_margin_shrinks_deadline(self):
         p = problem([0.1], [1.0], 10, 10.0, margin=0.1)
         assert p.effective_deadline == pytest.approx(9.0)

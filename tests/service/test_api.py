@@ -91,6 +91,16 @@ class TestDecisionRequest:
         assert request.jobs == 10 and isinstance(request.jobs, int)
         assert request == _request(jobs=10)
 
+    @pytest.mark.parametrize("bad", [True, "3", 0, float("nan")])
+    def test_jobs_must_be_a_whole_number(self, bad):
+        """``jobs=True`` used to pass as 1, and ``"3"`` to die with a bare
+        TypeError (or, through ``from_dict``, to pass as 3)."""
+        with pytest.raises(ConfigurationError, match="jobs must be a whole"):
+            _request(jobs=bad)
+        raw = {"device": "agx", "task": "vit", "jobs": bad, "deadline": 60.0}
+        with pytest.raises(ConfigurationError, match="jobs must be a whole"):
+            DecisionRequest.from_dict(raw)
+
     def test_direct_construction_rejects_the_same_values(self):
         with pytest.raises(ConfigurationError):
             _request(deadline=float("nan"))

@@ -71,6 +71,19 @@ class TestFleetSpecValidation:
         with pytest.raises(ConfigurationError, match=f"{field} must be .*finite"):
             FleetSpec(**{field: value})
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True, "4"])
+    @pytest.mark.parametrize(
+        "field",
+        ["n_clients", "rounds", "archetypes", "participants", "buffer_size",
+         "max_staleness", "edges"],
+    )
+    def test_whole_number_fields(self, field, bad):
+        """``buffer_size=2.5`` used to compose; ``max_staleness=nan`` never
+        dropped a report."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be a whole"):
+            FleetSpec(**{field: bad})
+        assert type(getattr(FleetSpec(**{field: 4.0}), field)) is int
+
     def test_effective_participants_caps_at_fleet_size(self):
         assert FleetSpec(n_clients=10).effective_participants() == 10
         assert FleetSpec(n_clients=10, participants=4).effective_participants() == 4

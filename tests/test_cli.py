@@ -199,20 +199,21 @@ class TestFleetCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_impossible_stats_run_fails_before_prepare(self, monkeypatch, capsys):
-        """Stats-mode async with a staleness bound cannot compose, so the
-        CLI must refuse before gathering (possibly 100k clients') traces."""
-        prepared = []
-        monkeypatch.setattr(
-            "repro.sim.fleet.prepare_fleet", lambda spec, **kw: prepared.append(spec)
-        )
-        code = main(
-            ["fleet", "run", *self.FAST, "--mode", "async",
-             "--max-staleness", "1", "--detail", "stats"]
-        )
-        assert code == 1
-        assert "static fast drain" in capsys.readouterr().err
-        assert prepared == []
+    def test_bounded_async_stats_run_matches_reports(self, tmp_path, capsys):
+        """Stats mode composes a staleness-bounded async fleet, and its
+        deterministic trace is the reports-mode trace, drops included."""
+        traces = {}
+        for detail in ("reports", "stats"):
+            traces[detail] = tmp_path / f"{detail}.jsonl"
+            code = main(
+                ["fleet", "run", *self.FAST, "--mode", "async", "--buffer", "2",
+                 "--max-staleness", "0", "--detail", detail,
+                 "--trace", str(traces[detail])]
+            )
+            assert code == 0
+        capsys.readouterr()
+        assert traces["reports"].read_bytes() == traces["stats"].read_bytes()
+        assert b"fleet.staleness_drop" in traces["stats"].read_bytes()
 
     def test_run_rejects_a_nan_staleness_exponent(self, monkeypatch, capsys):
         prepared = []

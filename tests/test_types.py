@@ -14,7 +14,6 @@ from repro.types import (
     Schedule,
     ScheduleEntry,
     require_fraction,
-    require_nonnegative_int,
     require_positive,
     require_whole,
 )
@@ -170,13 +169,14 @@ class TestValidators:
             require_fraction("x", 0.0, inclusive=False)
 
     def test_require_nonnegative_int(self):
-        assert require_nonnegative_int("n", 0) == 0
+        """The non-negative integer rule is `require_whole`'s default."""
+        assert require_whole("n", 0) == 0
         with pytest.raises(ConfigurationError):
-            require_nonnegative_int("n", -1)
+            require_whole("n", -1)
         with pytest.raises(ConfigurationError):
-            require_nonnegative_int("n", 1.5)
+            require_whole("n", 1.5)
         with pytest.raises(ConfigurationError):
-            require_nonnegative_int("n", True)
+            require_whole("n", True)
 
     def test_require_whole(self):
         assert require_whole("n", 0) == 0
