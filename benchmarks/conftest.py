@@ -45,14 +45,13 @@ def pytest_sessionstart(session):
     from repro.experiments.registry import EXPERIMENTS
     from repro.sim.executor import CampaignExecutor
 
-    specs, seen = [], set()
-    for experiment in EXPERIMENTS.values():
-        if experiment.grid is None:
-            continue
-        for spec in experiment.grid():
-            if spec.key() not in seen:
-                seen.add(spec.key())
-                specs.append(spec)
+    # A spec is its own cache key: dict.fromkeys drops repeats, in order.
+    specs = list(dict.fromkeys(
+        spec
+        for experiment in EXPERIMENTS.values()
+        if experiment.grid is not None
+        for spec in experiment.grid()
+    ))
 
     def progress(done, total, timing):
         print(f"[prefetch {done}/{total}] {timing.render()}", file=sys.stderr)

@@ -9,6 +9,7 @@ observation that 18 of ViT's 20 Pareto points come from MBO suggestions).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.config import BoFLConfig
@@ -28,17 +29,4 @@ class RandomSearchController(BoFLController):
         mbo_cost: Optional[MBOCostFn] = None,
     ) -> None:
         base = config if config is not None else BoFLConfig()
-        disabled = BoFLConfig(
-            tau=base.tau,
-            initial_sample_fraction=base.initial_sample_fraction,
-            min_explored_fraction=base.min_explored_fraction,
-            hv_improvement_threshold=base.hv_improvement_threshold,
-            max_batch_size=base.max_batch_size,
-            fit_restarts=base.fit_restarts,
-            safety_margin=base.safety_margin,
-            seed=base.seed,
-            guardian_enabled=base.guardian_enabled,
-            mbo_enabled=False,
-            exploit_mixture=base.exploit_mixture,
-        )
-        super().__init__(device, disabled, mbo_cost)
+        super().__init__(device, dataclasses.replace(base, mbo_enabled=False), mbo_cost)

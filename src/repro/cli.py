@@ -267,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(server folds E partials instead of every client)",
     )
     fleet_run.add_argument(
-        "--compose-shards", type=int, default=None, metavar="K",
-        help="shard the composition's trace-column build over K threads "
-        "(byte-identical to serial)",
-    )
-    fleet_run.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a deterministic obs trace of the composition to PATH; "
         "a .jsonl suffix writes row-per-event JSON Lines (byte-identical "
@@ -472,6 +467,8 @@ def _cmd_list() -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    import inspect
+
     from repro.experiments import get_experiment, warm_experiment_cache
 
     experiment = get_experiment(args.experiment)
@@ -482,6 +479,16 @@ def _cmd_run(args: argparse.Namespace) -> str:
         kwargs["ratio"] = args.ratio
     if args.seed:
         kwargs["seed"] = args.seed
+    # Refuse an option the driver does not take before any campaign runs.
+    parameters = inspect.signature(experiment.run).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+        refused = ", ".join(f"--{name}" for name in kwargs if name not in parameters)
+        if refused:
+            taken = ", ".join(f"--{n}" for n in ("rounds", "ratio", "seed") if n in parameters)
+            raise ConfigurationError(
+                f"experiment {args.experiment!r} does not take {refused}; "
+                f"it takes {taken or 'none of --rounds, --ratio, --seed'}"
+            )
     workers = _normalize_workers(args.workers)
     if workers is None or workers > 1:
         warm_experiment_cache(
@@ -751,7 +758,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         edges=args.edges,
         **extra,
     )
-    compose_kwargs = dict(detail=args.detail, shards=args.compose_shards)
     # Trace gathering may shard over workers and hit caches; the
     # composition below is serial and pure, so the deterministic trace
     # captured around it is byte-identical regardless of --workers.
@@ -771,18 +777,18 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 capacity=1, deterministic=True,
                 event_sink=writer.write_event,
             ) as session:
-                result = compose_fleet(spec, clients, **compose_kwargs)
+                result = compose_fleet(spec, clients, detail=args.detail)
         print(
             f"trace: {session.log.emitted} events -> {writer.path}",
             file=sys.stderr,
         )
     elif args.trace:
         with obs.session(deterministic=True) as session:
-            result = compose_fleet(spec, clients, **compose_kwargs)
+            result = compose_fleet(spec, clients, detail=args.detail)
         trace_path = session.log.dump_jsonl(args.trace)
         print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
     else:
-        result = compose_fleet(spec, clients, **compose_kwargs)
+        result = compose_fleet(spec, clients, detail=args.detail)
     return render_fleet_summary(fleet_summary(spec, result))
 
 

@@ -38,9 +38,9 @@ class KeyContract:
 #: the servertune specs whose tokens join campaign and PBT cache keys).
 DEFAULT_CONTRACTS: tuple[KeyContract, ...] = (
     KeyContract(
-        dataclass="repro.sim.executor.CampaignSpec",
-        key_functions=("repro.sim.executor.CampaignSpec.key",),
-        description="the campaign cache key",
+        dataclass="repro.sim.runner.CampaignSpec",
+        key_functions=("repro.sim.cache.cache_token",),
+        description="the durable campaign cache token",
     ),
     KeyContract(
         dataclass="repro.faults.schedule.FaultSchedule",

@@ -43,7 +43,7 @@ _FS_ORDER_METHODS = frozenset({"glob", "rglob", "iterdir"})
 
 #: Sink terminals per category; matched against the last dotted segment.
 _KEY_SINKS = frozenset(
-    {"cache_token", "cache_key_hash", "request_key_hash", "campaign_key", "token"}
+    {"cache_token", "cache_key_hash", "request_key_hash", "CampaignSpec", "token"}
 )
 _SOLVER_SINKS = frozenset(
     {"solve_schedule", "solve_schedule_greedy", "solve_schedule_pairs", "plan_or_fallback"}

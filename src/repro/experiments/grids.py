@@ -13,8 +13,6 @@ ablations) are deliberately absent; they fall back to serial execution.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.executor import CampaignSpec, expand_grid
 from repro.sim.runner import CONTROLLER_NAMES
 
@@ -58,14 +56,11 @@ def tab3_grid(
     )
 
 
-def fig12_grid(
-    ratio: Optional[float] = None, rounds: int = 100, seed: int = 0
-) -> list[CampaignSpec]:
+def fig12_grid(rounds: int = 100, seed: int = 0) -> list[CampaignSpec]:
     """Fig. 12: the trio per task over the deadline-ratio sweep."""
-    ratios = (ratio,) if ratio is not None else (2.0, 2.5, 3.0, 3.5, 4.0)
     return expand_grid(
         devices=("agx",), tasks=_TASKS, controllers=_TRIO,
-        ratios=ratios, seeds=(seed,), rounds=rounds,
+        ratios=(2.0, 2.5, 3.0, 3.5, 4.0), seeds=(seed,), rounds=rounds,
     )
 
 
@@ -92,23 +87,17 @@ def ext_controllers_grid(
 def ext_async_fleet_grid(
     ratio: float = 2.0, rounds: int = 6, seed: int = 0, clients: int = 36
 ) -> list[CampaignSpec]:
-    """Async-fleet extension: the unique client-trace campaigns.
+    """Async-fleet extension: every client's trace campaign.
 
     Archetype pooling means a 36-client fleet needs far fewer than 36
-    campaigns; the dedup here mirrors the executor's key-level dedup so
-    the warmed set is exactly what :func:`prepare_fleet` will request.
+    distinct campaigns; the executor computes each distinct spec once,
+    which is exactly the set :func:`prepare_fleet` will request.
     """
     from repro.experiments.ext_async_fleet import base_spec
     from repro.sim.fleet import build_fleet_clients, campaign_spec_for
 
     fleet = base_spec(clients=clients, rounds=rounds, ratio=ratio, seed=seed)
-    seen, specs = set(), []
-    for client in build_fleet_clients(fleet):
-        spec = campaign_spec_for(client, fleet)
-        if spec.key() not in seen:
-            seen.add(spec.key())
-            specs.append(spec)
-    return specs
+    return [campaign_spec_for(client, fleet) for client in build_fleet_clients(fleet)]
 
 
 def ext_servertune_grid(
@@ -116,22 +105,20 @@ def ext_servertune_grid(
 ) -> list[CampaignSpec]:
     """Server co-optimization extension: every configuration's trace set.
 
-    Static variants share campaign keys across deadline ratios they have
+    Static variants share campaign specs across deadline ratios they have
     in common; adaptive variants key separately (the servertune spec
-    rides on each client's campaign).  The dedup mirrors the executor's.
+    rides on each client's campaign).  The executor computes each
+    distinct spec once.
     """
     from repro.experiments.ext_servertune import base_spec, variant_specs
     from repro.sim.fleet import build_fleet_clients, campaign_spec_for
 
     base = base_spec(clients=clients, rounds=rounds, ratio=ratio, seed=seed)
-    seen, specs = set(), []
-    for variant in variant_specs(base).values():
-        for client in build_fleet_clients(variant):
-            spec = campaign_spec_for(client, variant)
-            if spec.key() not in seen:
-                seen.add(spec.key())
-                specs.append(spec)
-    return specs
+    return [
+        campaign_spec_for(client, variant)
+        for variant in variant_specs(base).values()
+        for client in build_fleet_clients(variant)
+    ]
 
 
 def ext_resilience_grid(

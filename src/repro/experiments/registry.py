@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Optional
 
-from repro.core.records import CampaignResult
 from repro.errors import ConfigurationError
 from repro.experiments import grids
-from repro.sim.executor import ProgressCallback
+from repro.sim.executor import CampaignTiming, ProgressCallback
 from repro.experiments import (
     ablations,
     ext_accuracy,
@@ -236,7 +235,7 @@ def warm_experiment_cache(
     workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     **grid_kwargs: object,
-) -> list[CampaignResult]:
+) -> list[CampaignTiming]:
     """Precompute an artifact's campaigns in parallel.
 
     Expands the experiment's grid (keyword overrides mirror its ``run``

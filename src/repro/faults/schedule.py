@@ -3,8 +3,8 @@
 A :class:`FaultSpec` names one fault — a kind from :data:`FAULT_KINDS`, a
 round window ``[start_round, start_round + rounds)`` and a kind-specific
 ``magnitude`` — and a :class:`FaultSchedule` is an immutable, hashable
-bundle of them.  Schedules participate in the campaign cache key (see
-:func:`repro.sim.runner.campaign_key`), so two things are non-negotiable:
+bundle of them.  Schedules are part of a campaign's identity (see
+:class:`repro.sim.runner.CampaignSpec`), so two things are non-negotiable:
 
 * **hashable and picklable** — frozen dataclasses of scalars only, safe to
   cross the process-pool boundary;

@@ -554,10 +554,6 @@ class AsyncFederationEngine:
         Optional :class:`~repro.federated.hierarchy.HierarchySpec`: commit
         through edge aggregators (O(edges) server work) instead of the
         flat fold.  A *different discipline*, not an optimization.
-    shards:
-        Thread-shard the upload-stream precompute across this many
-        contiguous client ranges; byte-identical to the serial build for
-        any value.
 
     The engine never modifies ``clients`` or their traces, so one
     prepared population can be composed any number of times.
@@ -578,7 +574,6 @@ class AsyncFederationEngine:
         controller: Optional[ServerController] = None,
         detail: str = "reports",
         hierarchy: Optional[HierarchySpec] = None,
-        shards: Optional[int] = None,
     ) -> None:
         if not clients:
             raise ConfigurationError("a fleet needs at least one client")
@@ -595,8 +590,6 @@ class AsyncFederationEngine:
             max_staleness = require_whole("max_staleness", max_staleness)
         if target_reports is not None:
             target_reports = require_whole("target_reports", target_reports, minimum=1)
-        if shards is not None:
-            shards = require_whole("shards", shards, minimum=1)
         if detail not in FLEET_DETAILS:
             raise ConfigurationError(
                 f"unknown detail {detail!r}; available: {', '.join(FLEET_DETAILS)}"
@@ -613,7 +606,6 @@ class AsyncFederationEngine:
         self.controller = controller
         self.detail = detail
         self.hierarchy = hierarchy
-        self.shards = shards
         #: The selector's configured cohort size before any participation
         #: knob touched it; the knob always rescales from this base, never
         #: from its own previous output (no compounding).

@@ -14,10 +14,7 @@ numpy columns once, up front:
   ``numpy.random.Generator`` draws ``normal(mu, sigma, size=k)`` from the
   same bit stream as ``k`` sequential scalar draws, so the precomputed
   uploads are bit-identical to per-launch
-  :meth:`~repro.federated.transport.LinkModel.transfer_time` draws.  ``shards``
-  splits the fill across contiguous client ranges on a thread pool;
-  every range writes a disjoint slice of the same preallocated arrays,
-  so serial and sharded builds are byte-identical by construction.
+  :meth:`~repro.federated.transport.LinkModel.transfer_time` draws.
 * :func:`async_arrival_times` — the FedBuff streaming schedule.  Each
   client's k-th report lands at ``((at[k-1] + elapsed[k]) + upload[k])``;
   the interleaved-cumsum below reproduces that exact left-to-right float
@@ -41,7 +38,6 @@ byte-identical to the per-event reference loop kept under ``tests/``.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
@@ -91,10 +87,8 @@ def _fill_uploads(
     clients: Sequence["FleetClient"],
     arrays: FleetTraceArrays,
     link: LinkModel,
-    lo: int,
-    hi: int,
 ) -> None:
-    """Fill ``arrays.upload`` for clients ``lo:hi`` (a disjoint slice).
+    """Fill ``arrays.upload`` for every client.
 
     Replicates per-launch pricing bit-for-bit: one lognormal draw per
     *live* (non-dropped) record in trace order from the client's private
@@ -104,11 +98,10 @@ def _fill_uploads(
     variability = link.variability
     bandwidth = link.bandwidth_mbps
     latency = link.latency
-    for i in range(lo, hi):
+    for i, client in enumerate(clients):
         start, end = int(arrays.offsets[i]), int(arrays.offsets[i + 1])
         if start == end:
             continue
-        client = clients[i]
         live = ~arrays.dropped[start:end]
         n_live = int(np.count_nonzero(live))
         if n_live == 0:
@@ -143,20 +136,14 @@ def build_trace_arrays(
     link: LinkModel,
     *,
     rounds_cap: Optional[int] = None,
-    shards: Optional[int] = None,
 ) -> FleetTraceArrays:
-    """Flatten client traces into columns (optionally sharded over threads).
+    """Flatten client traces into columns.
 
     ``rounds_cap`` bounds every client's composable trace (async streams
     at most ``rounds`` local rounds per client) without touching the
     clients' own record lists; the full trace length is still recorded per
-    client for the sync progress divisor.  ``shards``
-    partitions the upload-draw fill over contiguous client ranges on a
-    thread pool — a pure write-disjoint parallelization, byte-identical
-    to the serial fill for any shard count.
+    client for the sync progress divisor.
     """
-    if shards is not None and shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     n = len(clients)
     full_lengths = np.fromiter(
         (len(c.records) for c in clients), dtype=np.int64, count=n
@@ -209,21 +196,7 @@ def build_trace_arrays(
         arrays.deadline[start:end] = cached[2]
         arrays.missed[start:end] = cached[3]
         arrays.dropped[start:end] = cached[4]
-    n_shards = 1 if shards is None else min(shards, n)
-    if n_shards <= 1:
-        _fill_uploads(clients, arrays, link, 0, n)
-    else:
-        bounds = np.linspace(0, n, n_shards + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_shards) as pool:
-            futures = [
-                pool.submit(
-                    _fill_uploads, clients, arrays, link,
-                    int(bounds[s]), int(bounds[s + 1]),
-                )
-                for s in range(n_shards)
-            ]
-            for future in futures:
-                future.result()
+    _fill_uploads(clients, arrays, link)
     return arrays
 
 

@@ -175,9 +175,7 @@ def _emit_enqueue_scalar(
 
 def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     """Vectorized synchronous and semi-synchronous composition."""
-    arrays = build_trace_arrays(
-        engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
-    )
+    arrays = build_trace_arrays(engine.clients, engine.link, rounds_cap=rounds)
     n = arrays.n_clients
     ids = arrays.client_ids
     offsets = arrays.offsets
@@ -376,9 +374,7 @@ def _in_flight_energy(
 
 def _run_async(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     """The FedBuff drain, resolved one aggregation window at a time."""
-    arrays = build_trace_arrays(
-        engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
-    )
+    arrays = build_trace_arrays(engine.clients, engine.link, rounds_cap=rounds)
     n = arrays.n_clients
     ids = arrays.client_ids
     result = FleetResult(mode="async", n_clients=n)

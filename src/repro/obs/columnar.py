@@ -2,8 +2,7 @@
 
 Row-per-event JSONL is the wrong shape at fleet scale: a 100k-client
 composition emits millions of events, every one repeating its payload
-keys, and :func:`repro.obs.events.read_jsonl` loads the whole file before
-the first event is usable.  The columnar format fixes both ends:
+keys.  The columnar format bounds memory and repetition at both ends:
 
 * **Writing** (:class:`ColumnarTraceWriter`): events accumulate in an
   in-memory chunk of at most ``chunk_events``; a full chunk is encoded as
@@ -45,7 +44,7 @@ from types import TracebackType
 from typing import IO, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.events import TRACE_FORMAT_VERSION, Event
+from repro.obs.events import TRACE_FORMAT_VERSION, Event, iter_jsonl
 
 #: First-line marker distinguishing columnar containers from JSONL.
 COLUMNAR_FORMAT = "repro-columnar-trace"
@@ -295,38 +294,6 @@ def sniff_format(path: Union[str, pathlib.Path]) -> str:
     return "jsonl"
 
 
-def _iter_jsonl(path: pathlib.Path) -> Iterator[Event]:
-    """Stream a legacy JSONL trace line by line (same validation as
-    :func:`~repro.obs.events.read_jsonl`, without materializing the file)."""
-    try:
-        handle = path.open()
-    except OSError as error:
-        raise ConfigurationError(f"cannot read trace {path}: {error}") from error
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"{path}:{lineno} is not valid JSON: {error}"
-                ) from error
-            if not isinstance(raw, dict):
-                raise ConfigurationError(
-                    f"{path}:{lineno} is not an event object"
-                )
-            if raw.get("kind") == "trace.header":
-                version = raw.get("format_version")
-                if version != TRACE_FORMAT_VERSION:
-                    raise ConfigurationError(
-                        f"{path} has trace format version {version!r}; "
-                        f"this library reads version {TRACE_FORMAT_VERSION}"
-                    )
-                continue
-            yield Event.from_dict(raw)
-
-
 def iter_trace_events(path: Union[str, pathlib.Path]) -> Iterator[Event]:
     """Stream a trace in either format (sniffed from the first line).
 
@@ -338,7 +305,7 @@ def iter_trace_events(path: Union[str, pathlib.Path]) -> Iterator[Event]:
     path = pathlib.Path(path)
     if sniff_format(path) == "columnar":
         return iter_columnar(path)
-    return _iter_jsonl(path)
+    return iter_jsonl(path)
 
 
 def read_trace_events(path: Union[str, pathlib.Path]) -> list[Event]:

@@ -230,41 +230,45 @@ class EventLog:
         return path
 
 
-def read_jsonl(path: Union[str, pathlib.Path]) -> list[Event]:
-    """Load a JSONL trace written by :meth:`EventLog.dump_jsonl`.
+def iter_jsonl(path: Union[str, pathlib.Path]) -> Iterator[Event]:
+    """Stream a JSONL trace written by :meth:`EventLog.dump_jsonl`, line by line.
 
     Raises :class:`ConfigurationError` on unreadable files, malformed
     lines, or an unsupported format version.  A missing header is
     tolerated (streaming sinks don't write one) as long as every line
-    parses as an event.
+    parses as an event.  Memory is bounded by one line, not the file.
     """
     path = pathlib.Path(path)
     try:
-        text = path.read_text()
+        handle = path.open()
     except OSError as error:
         raise ConfigurationError(f"cannot read trace {path}: {error}") from error
-    events: list[Event] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"{path}:{lineno} is not valid JSON: {error}"
-            ) from error
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"{path}:{lineno} is not an event object")
-        if raw.get("kind") == "trace.header":
-            version = raw.get("format_version")
-            if version != TRACE_FORMAT_VERSION:
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as error:
                 raise ConfigurationError(
-                    f"{path} has trace format version {version!r}; "
-                    f"this library reads version {TRACE_FORMAT_VERSION}"
-                )
-            continue
-        events.append(Event.from_dict(raw))
-    return events
+                    f"{path}:{lineno} is not valid JSON: {error}"
+                ) from error
+            if not isinstance(raw, dict):
+                raise ConfigurationError(f"{path}:{lineno} is not an event object")
+            if raw.get("kind") == "trace.header":
+                version = raw.get("format_version")
+                if version != TRACE_FORMAT_VERSION:
+                    raise ConfigurationError(
+                        f"{path} has trace format version {version!r}; "
+                        f"this library reads version {TRACE_FORMAT_VERSION}"
+                    )
+                continue
+            yield Event.from_dict(raw)
+
+
+def read_jsonl(path: Union[str, pathlib.Path]) -> list[Event]:
+    """Materialize :func:`iter_jsonl`."""
+    return list(iter_jsonl(path))
 
 
 def events_between(

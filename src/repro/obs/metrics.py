@@ -31,7 +31,6 @@ COUNTER_NAMES = frozenset(
         "faults.cleared",
         "faults.injected",
         "fleet.aggregations",
-        "fleet.compose_shards",
         "fleet.enqueues",
         "fleet.rounds",
         "fleet.staleness_drops",

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.types import require_whole
+from repro.types import require_positive, require_whole
 
 #: Controller names :func:`make_server_controller` accepts.
 SERVERTUNE_CONTROLLERS: tuple[str, ...] = ("static", "fedgpo", "fedtune")
@@ -74,18 +74,12 @@ class ServerKnobs:
     halt: bool = False
 
     def __post_init__(self) -> None:
-        if self.deadline_scale <= 0:
-            raise ConfigurationError(
-                f"deadline_scale must be positive, got {self.deadline_scale}"
-            )
+        require_positive("deadline_scale", self.deadline_scale)
         if not 0.0 < self.participation <= 1.0:
             raise ConfigurationError(
                 f"participation must lie in (0, 1], got {self.participation}"
             )
-        if self.buffer_scale <= 0:
-            raise ConfigurationError(
-                f"buffer_scale must be positive, got {self.buffer_scale}"
-            )
+        require_positive("buffer_scale", self.buffer_scale)
 
     @property
     def is_default(self) -> bool:

@@ -23,8 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.service.api import DECISION_SCHEMA_VERSION, DecisionPlan, DecisionRequest
+from repro.types import require_whole
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,7 @@ class DecisionCache:
     """LRU cache of decision plans keyed by request-token hashes."""
 
     def __init__(self, max_entries: int = 2048) -> None:
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
+        self.max_entries = require_whole("max_entries", max_entries, minimum=1)
         #: hash -> (token, plan); insertion order doubles as LRU order.
         self._entries: "OrderedDict[str, tuple[dict[str, object], DecisionPlan]]" = (
             OrderedDict()

@@ -49,7 +49,7 @@ from repro.service.api import (
 )
 from repro.service.archetypes import ArchetypeProfile, get_profile, plan_or_fallback
 from repro.service.cache import DecisionCache, DecisionCacheStats
-from repro.types import Seconds, require_positive
+from repro.types import Seconds, require_positive, require_whole
 
 #: How the service obtains an archetype profile; injectable for tests.
 ProfileResolver = Callable[[str, str], ArchetypeProfile]
@@ -105,13 +105,10 @@ class ServiceConfig:
     costs: ServiceCostModel = field(default_factory=ServiceCostModel)
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ConfigurationError(f"max_queue must be >= 1, got {self.max_queue}")
+        for name in ("max_queue", "cache_entries"):
+            value = require_whole(name, getattr(self, name), minimum=1)
+            object.__setattr__(self, name, value)
         require_positive("timeout", self.timeout)
-        if self.cache_entries < 1:
-            raise ConfigurationError(
-                f"cache_entries must be >= 1, got {self.cache_entries}"
-            )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.federated.deadlines import UniformDeadlines
 from repro.obs import runtime as obs
-from repro.obs.events import Event, read_jsonl
+from repro.obs.events import Event
 from repro.service.api import DecisionRequest
 from repro.service.archetypes import get_profile
 from repro.service.engine import (
@@ -380,10 +380,13 @@ def service_report_from_trace(path: Union[str, pathlib.Path]) -> str:
 
     The ``service.decision`` events carry each decision's simulated
     latency and provenance, so the percentiles and ratios rendered here
-    are exactly reproducible from the JSONL alone — the same replay
-    discipline as ``repro chaos report`` / ``repro fleet report``.
+    are exactly reproducible from the trace alone, JSONL or columnar —
+    the same replay discipline as ``repro chaos report`` /
+    ``repro fleet report``.
     """
-    events = read_jsonl(path)
+    from repro.obs.columnar import read_trace_events
+
+    events = read_trace_events(path)
     decisions = [e for e in events if e.kind == "service.decision"]
     if not decisions:
         raise ConfigurationError(

@@ -32,10 +32,8 @@ if TYPE_CHECKING:
     )
     from repro.sim.executor import (
         CampaignExecutor,
-        CampaignSpec,
         CampaignTiming,
         ExecutionReport,
-        execute_campaigns,
         expand_grid,
         resolve_workers,
     )
@@ -52,12 +50,10 @@ if TYPE_CHECKING:
     from repro.sim.mbo_cost import MBOCostModel
     from repro.sim.choices import CONTROLLER_NAMES, FLEET_SELECTORS
     from repro.sim.runner import (
-        campaign_key,
+        CampaignSpec,
         clear_campaign_cache,
-        get_persistent_cache,
         install_persistent_cache,
         make_controller,
-        prime_campaign_cache,
         run_campaign,
     )
     from repro.sim.sweep import SummaryStat, SweepResult, sweep_campaign
@@ -81,7 +77,6 @@ __all__ = [
     "SweepResult",
     "build_fleet_clients",
     "cache_key_hash",
-    "campaign_key",
     "campaign_spec_for",
     "compose_fleet",
     "fleet_summary",
@@ -91,13 +86,10 @@ __all__ = [
     "chaos_report_from_trace",
     "clear_campaign_cache",
     "default_cache_dir",
-    "execute_campaigns",
     "expand_grid",
-    "get_persistent_cache",
     "install_persistent_cache",
     "make_controller",
     "preset_schedule",
-    "prime_campaign_cache",
     "resolve_workers",
     "run_campaign",
     "run_chaos",

@@ -2,11 +2,12 @@
 
 The in-memory memo in :mod:`repro.sim.runner` dies with the process; this
 module provides the durable layer underneath it.  Entries are JSON files
-keyed by a stable content hash of the full campaign key — device, task,
-controller, deadline ratio, rounds, seed and every :class:`BoFLConfig`
-field — plus a schema version, so a change to either the result format or
-the config surface invalidates old entries instead of silently serving
-stale results.
+keyed by a stable content hash of the full
+:class:`~repro.sim.runner.CampaignSpec` — device, task, controller,
+deadline ratio, rounds, seed, every :class:`BoFLConfig` field and the
+chaos and servertune inputs — plus a schema version, so a change to
+either the result format or the config surface invalidates old entries
+instead of silently serving stale results.
 
 Layout (one file per campaign)::
 
@@ -27,15 +28,15 @@ import os
 import pathlib
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.analysis.io import campaign_from_dict, campaign_to_dict
-from repro.core.config import BoFLConfig
 from repro.core.records import CampaignResult
 from repro.errors import ConfigurationError
-from repro.faults.recovery import RecoveryPolicy
-from repro.faults.schedule import FaultSchedule
-from repro.servertune.controllers import ServerTuneSpec
+from repro.types import require_whole
+
+if TYPE_CHECKING:
+    from repro.sim.runner import CampaignSpec
 
 #: Bump whenever the campaign key layout or the serialized result format
 #: changes; older entries then read as misses and are rewritten.
@@ -60,22 +61,6 @@ STATS_SCHEMA_VERSION = 1
 #: The counters the sidecar accumulates across sessions.
 _STAT_FIELDS = ("hits", "misses", "writes", "evictions")
 
-#: The in-process campaign key: (device, task, controller, ratio, rounds,
-#: seed, BoFLConfig-or-None, FaultSchedule-or-None, RecoveryPolicy-or-None,
-#: ServerTuneSpec-or-None) — the same tuple the runner memoizes on.
-CampaignKey = tuple[
-    str,
-    str,
-    str,
-    float,
-    int,
-    int,
-    Optional[BoFLConfig],
-    Optional[FaultSchedule],
-    Optional[RecoveryPolicy],
-    Optional[ServerTuneSpec],
-]
-
 
 def default_cache_dir() -> pathlib.Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/campaigns``."""
@@ -85,8 +70,8 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "repro" / "campaigns"
 
 
-def cache_token(key: CampaignKey) -> dict[str, object]:
-    """A JSON-stable representation of a campaign key.
+def cache_token(spec: CampaignSpec) -> dict[str, object]:
+    """A JSON-stable representation of a campaign spec.
 
     ``BoFLConfig`` is expanded field by field so that adding a knob (or
     changing a default) produces a different token — the persistent cache
@@ -97,19 +82,17 @@ def cache_token(key: CampaignKey) -> dict[str, object]:
     reshapes the per-round deadlines, so a tuned campaign must never
     collide with its static twin.
     """
-    (
-        device, task, controller, ratio, rounds, seed,
-        config, schedule, policy, servertune,
-    ) = key
+    config, schedule = spec.bofl_config, spec.fault_schedule
+    policy, servertune = spec.recovery_policy, spec.servertune
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "campaign",
-        "device": device,
-        "task": task,
-        "controller": controller,
-        "deadline_ratio": float(ratio),
-        "rounds": int(rounds),
-        "seed": int(seed),
+        "device": spec.device,
+        "task": spec.task,
+        "controller": spec.controller,
+        "deadline_ratio": spec.deadline_ratio,
+        "rounds": spec.rounds,
+        "seed": spec.seed,
         "bofl_config": None if config is None else dataclasses.asdict(config),
         "fault_schedule": None if schedule is None else schedule.to_dict(),
         "recovery_policy": None if policy is None else policy.to_dict(),
@@ -117,9 +100,9 @@ def cache_token(key: CampaignKey) -> dict[str, object]:
     }
 
 
-def cache_key_hash(key: CampaignKey) -> str:
+def cache_key_hash(spec: CampaignSpec) -> str:
     """A stable hex digest of :func:`cache_token` (the entry filename stem)."""
-    canonical = json.dumps(cache_token(key), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(cache_token(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -178,15 +161,11 @@ class PersistentCampaignCache:
         max_entries: int = 4096,
         max_bytes: Optional[int] = None,
     ) -> None:
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        if max_bytes is not None and max_bytes <= 0:
-            raise ConfigurationError(f"max_bytes must be positive, got {max_bytes}")
         self.directory = pathlib.Path(directory) if directory else default_cache_dir()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
+        self.max_entries = require_whole("max_entries", max_entries, minimum=1)
+        self.max_bytes = (
+            None if max_bytes is None else require_whole("max_bytes", max_bytes, minimum=1)
+        )
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -194,8 +173,8 @@ class PersistentCampaignCache:
 
     # -- paths ---------------------------------------------------------------
 
-    def path_for(self, key: CampaignKey) -> pathlib.Path:
-        return self.directory / f"{cache_key_hash(key)}.json"
+    def path_for(self, spec: CampaignSpec) -> pathlib.Path:
+        return self.directory / f"{cache_key_hash(spec)}.json"
 
     @property
     def _sidecar_path(self) -> pathlib.Path:
@@ -258,9 +237,9 @@ class PersistentCampaignCache:
 
     # -- read/write ----------------------------------------------------------
 
-    def get(self, key: CampaignKey) -> Optional[CampaignResult]:
-        """Load the cached result for ``key``, or None on any kind of miss."""
-        path = self.path_for(key)
+    def get(self, spec: CampaignSpec) -> Optional[CampaignResult]:
+        """Load the cached result for ``spec``, or None on any kind of miss."""
+        path = self.path_for(spec)
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -269,7 +248,7 @@ class PersistentCampaignCache:
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != CACHE_SCHEMA_VERSION
-            or payload.get("key") != cache_token(key)
+            or payload.get("key") != cache_token(spec)
         ):
             self._bump("misses")
             return None
@@ -285,15 +264,15 @@ class PersistentCampaignCache:
         self._bump("hits")
         return result
 
-    def put(self, key: CampaignKey, result: CampaignResult) -> pathlib.Path:
-        """Atomically persist ``result`` under ``key`` and enforce bounds."""
+    def put(self, spec: CampaignSpec, result: CampaignResult) -> pathlib.Path:
+        """Atomically persist ``result`` under ``spec`` and enforce bounds."""
         self.directory.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "key": cache_token(key),
+            "key": cache_token(spec),
             "campaign": campaign_to_dict(result),
         }
-        path = self.path_for(key)
+        path = self.path_for(spec)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.directory), prefix=".tmp-", suffix=".json"
         )

@@ -27,7 +27,7 @@ from repro.faults.metrics import ResilienceMetrics
 from repro.faults.recovery import NO_RECOVERY, RecoveryPolicy
 from repro.faults.choices import CHAOS_PRESETS
 from repro.faults.schedule import FaultSchedule
-from repro.obs.events import Event, read_jsonl
+from repro.obs.events import Event
 
 if TYPE_CHECKING:
     from repro.sim.executor import CampaignExecutor
@@ -243,5 +243,7 @@ def render_chaos_trace(events: list[Event]) -> str:
 
 
 def chaos_report_from_trace(path: Union[str, pathlib.Path]) -> str:
-    """Load a JSONL trace and render the chaos report."""
-    return render_chaos_trace(read_jsonl(path))
+    """Load a trace (JSONL or columnar) and render the chaos report."""
+    from repro.obs.columnar import read_trace_events
+
+    return render_chaos_trace(read_trace_events(path))

@@ -5,21 +5,24 @@ Every evaluation artifact in this repo is a projection of a campaign grid
 an independent, deterministic simulation.  This module fans a grid out
 over a :class:`concurrent.futures.ProcessPoolExecutor` while preserving
 the paired-determinism guarantee: a work unit is described declaratively
-by :class:`CampaignSpec` and each worker derives its scenario seed exactly
-as the serial :func:`repro.sim.runner.run_campaign` path does, so parallel
-and serial runs produce identical :class:`CampaignResult` objects.
+by a :class:`~repro.sim.runner.CampaignSpec` and each worker derives its
+scenario seed exactly as the serial :func:`repro.sim.runner.run_campaign`
+path does, so parallel and serial runs produce identical
+:class:`CampaignResult` objects.
 
-Cache layering (checked in order, all keyed by
-:func:`repro.sim.runner.campaign_key`):
+Cache layering, keyed by the spec itself and walked by the runner's
+:func:`~repro.sim.runner.lookup_campaign` /
+:func:`~repro.sim.runner.store_campaign` (the same two functions
+:func:`~repro.sim.runner.run_campaign` uses):
 
 1. the in-process memo in :mod:`repro.sim.runner` ("memory");
-2. the optional durable :class:`~repro.sim.cache.PersistentCampaignCache`
-   ("disk");
+2. the executor's own ``cache=`` and the installed durable cache, e.g. a
+   :class:`~repro.sim.cache.PersistentCampaignCache` ("disk");
 3. the campaign is computed, in a worker process ("computed") or in-process
    when ``workers=1`` ("inline"), and the parent writes the result through
    every layer.
 
-Each distinct key is looked up, or computed, once per :meth:`run`;
+Each distinct spec is looked up, or computed, once per :meth:`run`;
 duplicate specs share one result object, whichever layer served it.
 
 Per-campaign :class:`CampaignTiming` records (source + wall seconds) make
@@ -28,7 +31,6 @@ long grids observable; pass a ``progress`` callback to stream them.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -39,18 +41,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.config import BoFLConfig
 from repro.core.records import CampaignResult
 from repro.errors import ConfigurationError
-from repro.faults.recovery import RecoveryPolicy
-from repro.faults.schedule import FaultSchedule
 from repro.obs import runtime as obs
-from repro.servertune.controllers import ServerTuneSpec
-from repro.sim import runner as _runner
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.runner import (
-    CampaignCacheProtocol,
-    CampaignKey,
-    campaign_key,
-    prime_campaign_cache,
+    CampaignSpec,
+    lookup_campaign,
     run_campaign,
+    store_campaign,
 )
 
 if TYPE_CHECKING:
@@ -69,64 +66,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return min(workers, MAX_WORKERS)
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One declarative work unit of a campaign grid.
-
-    Mirrors the :func:`repro.sim.runner.run_campaign` signature; the
-    executor never runs anything a plain serial call could not.
-    """
-
-    device: str
-    task: str
-    controller: str
-    deadline_ratio: float
-    rounds: int = 100
-    seed: int = 0
-    bofl_config: Optional[BoFLConfig] = None
-    #: Optional chaos inputs: a fault schedule switches the cell onto the
-    #: chaos engine; both participate in the cache key.
-    fault_schedule: Optional[FaultSchedule] = None
-    recovery_policy: Optional[RecoveryPolicy] = None
-    #: Optional adaptive server controller above the round loop; part of
-    #: the cache key (it reshapes the per-round deadlines).
-    servertune: Optional[ServerTuneSpec] = None
-
-    def key(self) -> CampaignKey:
-        return campaign_key(
-            self.device, self.task, self.controller, self.deadline_ratio,
-            self.rounds, self.seed, self.bofl_config,
-            self.fault_schedule, self.recovery_policy, self.servertune,
-        )
-
-    def label(self) -> str:
-        base = (
-            f"{self.device}/{self.task}/{self.controller}"
-            f"/r{self.deadline_ratio:g}/n{self.rounds}/s{self.seed}"
-        )
-        if self.fault_schedule is not None and not self.fault_schedule.is_empty:
-            base += f"/chaos{len(self.fault_schedule)}"
-        if self.servertune is not None and not self.servertune.is_static:
-            base += f"/tune-{self.servertune.controller}"
-        return base
-
-    def run(self, *, use_cache: bool = True) -> CampaignResult:
-        """Execute this spec in-process through the ordinary runner path."""
-        return run_campaign(
-            self.device,
-            self.task,
-            self.controller,
-            self.deadline_ratio,
-            rounds=self.rounds,
-            seed=self.seed,
-            bofl_config=self.bofl_config,
-            use_cache=use_cache,
-            fault_schedule=self.fault_schedule,
-            recovery_policy=self.recovery_policy,
-            servertune=self.servertune,
-        )
 
 
 def expand_grid(
@@ -195,7 +134,19 @@ def _compute_spec(spec: CampaignSpec) -> CampaignResult:
     the executor has already missed every layer and stores the result
     itself, and a worker's memo would die with the process anyway.
     """
-    return spec.run(use_cache=False)
+    return run_campaign(
+        spec.device,
+        spec.task,
+        spec.controller,
+        spec.deadline_ratio,
+        rounds=spec.rounds,
+        seed=spec.seed,
+        bofl_config=spec.bofl_config,
+        use_cache=False,
+        fault_schedule=spec.fault_schedule,
+        recovery_policy=spec.recovery_policy,
+        servertune=spec.servertune,
+    )
 
 
 @dataclass
@@ -248,32 +199,6 @@ class CampaignExecutor:
         #: Timings accumulated across every run() on this executor.
         self.timings: list[CampaignTiming] = []
 
-    # -- cache layers --------------------------------------------------------
-
-    def _layers(self) -> list[CampaignCacheProtocol]:
-        """The distinct durable layers: this executor's, then the installed one."""
-        layers = (self.cache, _runner.get_persistent_cache())
-        return list({id(c): c for c in layers if c is not None}.values())
-
-    def _lookup(self, key: CampaignKey) -> tuple[Optional[CampaignResult], str]:
-        cached = _runner._CAMPAIGN_CACHE.get(key)
-        if cached is not None:
-            # Defensive copy: the memo's value is private (see runner).
-            return copy.deepcopy(cached), "memory"
-        for layer in self._layers():
-            loaded = layer.get(key)
-            if loaded is not None:
-                prime_campaign_cache(key, loaded)
-                return loaded, "disk"
-        return None, "miss"
-
-    def _store(self, key: CampaignKey, result: CampaignResult) -> None:
-        prime_campaign_cache(key, result)
-        for layer in self._layers():
-            layer.put(key, result)
-
-    # -- execution -----------------------------------------------------------
-
     def run(
         self, specs: Sequence[CampaignSpec], *, use_cache: bool = True
     ) -> ExecutionReport:
@@ -304,37 +229,35 @@ class CampaignExecutor:
             if self.progress is not None:
                 self.progress(done_count, total, timing)
 
-        #: key -> spec indices still needing a result (dedup).
-        pending: dict[CampaignKey, list[int]] = {}
-        #: key -> the result its first index found in a cache layer; later
-        #: indices share that object instead of copying the memo again.
-        served: dict[CampaignKey, CampaignResult] = {}
+        #: spec -> its indices: each distinct spec is looked up, or
+        #: computed, once, and its indices share one result object.
+        groups: dict[CampaignSpec, list[int]] = {}
         for index, spec in enumerate(specs):
-            key = spec.key()
-            if use_cache and key not in pending:
-                if key in served:
-                    finish(index, served[key], 0.0, "memory")
-                    continue
-                hit, source = self._lookup(key)
-                if hit is not None:
-                    served[key] = hit
-                    finish(index, hit, 0.0, source)
-                    continue
-            pending.setdefault(key, []).append(index)
+            groups.setdefault(spec, []).append(index)
+        #: spec -> indices still needing a result.
+        pending: dict[CampaignSpec, list[int]] = {}
+        for spec, indices in groups.items():
+            hit, source = lookup_campaign(spec, self.cache) if use_cache else (None, "miss")
+            if hit is None:
+                pending[spec] = indices
+                continue
+            for index in indices:
+                finish(index, hit, 0.0, source)
+                source = "memory"  # later duplicates share the first one's hit
 
         def complete(
-            key: CampaignKey, result: CampaignResult, seconds: float, source: str
+            spec: CampaignSpec, result: CampaignResult, seconds: float, source: str
         ) -> None:
             if use_cache:
-                self._store(key, result)
-            for index in pending[key]:
+                store_campaign(spec, result, self.cache)
+            for index in pending[spec]:
                 finish(index, result, seconds, source)
 
         if pending:
             if self.workers == 1:
-                self._run_inline(pending, specs, complete)
+                self._run_inline(pending, complete)
             else:
-                self._run_pool(pending, specs, complete)
+                self._run_pool(pending, complete)
 
         ordered_timings = [timings[i] for i in sorted(timings)]
         self.timings.extend(ordered_timings)
@@ -346,26 +269,20 @@ class CampaignExecutor:
         )
         return report
 
-    def run_one(self, spec: CampaignSpec, *, use_cache: bool = True) -> CampaignResult:
-        """Convenience wrapper: execute a single spec."""
-        return self.run([spec], use_cache=use_cache).results[0]
-
     def _run_inline(
         self,
-        pending: dict[CampaignKey, list[int]],
-        specs: Sequence[CampaignSpec],
-        complete: Callable[[CampaignKey, CampaignResult, float, str], None],
+        pending: dict[CampaignSpec, list[int]],
+        complete: Callable[[CampaignSpec, CampaignResult, float, str], None],
     ) -> None:
-        for key, indices in pending.items():
+        for spec in pending:
             t0 = time.perf_counter()
-            result = _compute_spec(specs[indices[0]])
-            complete(key, result, time.perf_counter() - t0, "inline")
+            result = _compute_spec(spec)
+            complete(spec, result, time.perf_counter() - t0, "inline")
 
     def _run_pool(
         self,
-        pending: dict[CampaignKey, list[int]],
-        specs: Sequence[CampaignSpec],
-        complete: Callable[[CampaignKey, CampaignResult, float, str], None],
+        pending: dict[CampaignSpec, list[int]],
+        complete: Callable[[CampaignSpec, CampaignResult, float, str], None],
     ) -> None:
         # Imported here: the process pool loads ``multiprocessing``,
         # which a ``workers=1`` run never needs.
@@ -373,30 +290,16 @@ class CampaignExecutor:
 
         workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future[CampaignResult], tuple[CampaignKey, float]] = {}
-            for key, indices in pending.items():
-                futures[pool.submit(_compute_spec, specs[indices[0]])] = (
-                    key, time.perf_counter(),
-                )
+            futures: dict[Future[CampaignResult], tuple[CampaignSpec, float]] = {
+                pool.submit(_compute_spec, spec): (spec, time.perf_counter())
+                for spec in pending
+            }
             outstanding = set(futures)
             while outstanding:
                 completed, outstanding = wait(
                     outstanding, return_when=FIRST_COMPLETED
                 )
                 for future in completed:
-                    key, t0 = futures[future]
+                    spec, t0 = futures[future]
                     result = future.result()
-                    complete(key, result, time.perf_counter() - t0, "computed")
-
-
-def execute_campaigns(
-    specs: Sequence[CampaignSpec],
-    *,
-    workers: Optional[int] = None,
-    cache: Optional[PersistentCampaignCache] = None,
-    progress: Optional[ProgressCallback] = None,
-    use_cache: bool = True,
-) -> ExecutionReport:
-    """One-shot helper: build an executor, run the grid, return the report."""
-    executor = CampaignExecutor(workers=workers, cache=cache, progress=progress)
-    return executor.run(specs, use_cache=use_cache)
+                    complete(spec, result, time.perf_counter() - t0, "computed")

@@ -57,7 +57,8 @@ if TYPE_CHECKING:
     from repro.federated.selection import ClientSelector
     from repro.servertune.controllers import ServerTuneSpec
     from repro.sim.cache import PersistentCampaignCache
-    from repro.sim.executor import CampaignSpec, ProgressCallback
+    from repro.sim.executor import ProgressCallback
+    from repro.sim.runner import CampaignSpec
 
 #: Default heterogeneous population: both testbed boards, all three paper
 #: tasks, BoFL pacing against the Performant baseline.
@@ -269,12 +270,11 @@ def campaign_spec_for(client: FleetClient, spec: FleetSpec) -> CampaignSpec:
     """The campaign producing this client's local-round trace.
 
     An adaptive ``spec.servertune`` rides onto every client's campaign
-    key: the server controller reshapes each archetype's per-round
+    spec: the server controller reshapes each archetype's per-round
     deadline budget, so a tuned fleet must never reuse a static fleet's
-    traces (or vice versa).
+    traces (or vice versa).  A static one normalizes away in the spec.
     """
-    from repro.servertune.controllers import normalize_servertune
-    from repro.sim.executor import CampaignSpec
+    from repro.sim.runner import CampaignSpec
 
     return CampaignSpec(
         device=client.device,
@@ -284,7 +284,7 @@ def campaign_spec_for(client: FleetClient, spec: FleetSpec) -> CampaignSpec:
         rounds=spec.rounds,
         seed=client.trace_seed,
         fault_schedule=client.fault_schedule,
-        servertune=normalize_servertune(spec.servertune),
+        servertune=spec.servertune,
     )
 
 
@@ -314,7 +314,7 @@ def prepare_fleet(
 ) -> list[FleetClient]:
     """Build the population and fill every client's trace.
 
-    The executor dedups identical campaign keys, so pooled archetypes cost
+    The executor dedups identical campaign specs, so pooled archetypes cost
     one simulation each regardless of fleet size; ``workers`` shards the
     unique campaigns over the process pool.  Run this *outside* any
     deterministic obs session meant for fleet traces — executor cache/cell
@@ -340,7 +340,6 @@ def compose_fleet(
     clients: list[FleetClient],
     *,
     detail: str = "reports",
-    shards: Optional[int] = None,
 ) -> FleetResult:
     """Run the federation engine over prepared traces (pure, serial).
 
@@ -348,13 +347,11 @@ def compose_fleet(
     population can be composed repeatedly — e.g. once per mode for a
     sync/semisync/async comparison.
 
-    ``detail``/``shards`` tune *how* the composition executes, never
-    *what* it computes: ``detail="stats"`` keeps per-round counters
-    instead of per-report objects (O(rounds) memory at 100k+ clients),
-    and ``shards`` parallelizes the trace-column build — both
-    byte-identical to the serial default.  ``spec.edges``, by contrast,
-    changes the aggregation arithmetic, which is why it lives on the
-    spec.
+    ``detail`` tunes *how* the composition executes, never *what* it
+    computes: ``detail="stats"`` keeps per-round counters instead of
+    per-report objects (O(rounds) memory at 100k+ clients),
+    byte-identical to the default.  ``spec.edges``, by contrast, changes
+    the aggregation arithmetic, which is why it lives on the spec.
     """
     from repro.federated.aggregation import FedAvg
     from repro.federated.async_engine import AsyncFederationEngine
@@ -385,15 +382,8 @@ def compose_fleet(
     elif spec.selector == "energy" and sized:
         selector = EnergyAwareSelector(selection_size, seed=spec.seed)
     hierarchy = None if spec.edges is None else HierarchySpec(n_edges=spec.edges)
-    if obs.enabled():
-        if hierarchy is not None:
-            obs.emit(
-                "fleet.topology",
-                edges=hierarchy.n_edges,
-                clients=len(clients),
-            )
-        if shards is not None:
-            obs.count("fleet.compose_shards", shards)
+    if hierarchy is not None and obs.enabled():
+        obs.emit("fleet.topology", edges=hierarchy.n_edges, clients=len(clients))
     fed_engine = AsyncFederationEngine(
         clients,
         mode=spec.mode,
@@ -407,7 +397,6 @@ def compose_fleet(
         controller=None if tune is None else make_server_controller(tune),
         detail=detail,
         hierarchy=hierarchy,
-        shards=shards,
     )
     return fed_engine.run(spec.rounds)
 
@@ -420,13 +409,12 @@ def run_fleet(
     progress: Optional[ProgressCallback] = None,
     use_cache: bool = True,
     detail: str = "reports",
-    shards: Optional[int] = None,
 ) -> FleetResult:
     """Prepare and compose one fleet in a single call."""
     clients = prepare_fleet(
         spec, workers=workers, cache=cache, progress=progress, use_cache=use_cache
     )
-    return compose_fleet(spec, clients, detail=detail, shards=shards)
+    return compose_fleet(spec, clients, detail=detail)
 
 
 def fleet_summary(spec: FleetSpec, result: FleetResult) -> dict[str, object]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import zlib
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from repro.core.config import BoFLConfig
@@ -34,19 +35,91 @@ from repro.hardware.devices import get_device
 from repro.hardware.thermal import ThermalModel
 from repro.sim.choices import CONTROLLER_NAMES
 from repro.sim.mbo_cost import MBOCostModel
-
-#: The canonical campaign cache key: a flat tuple of hashable scalars
-#: (plus the optional frozen BoFLConfig).  Shared by the memo, the
-#: persistent cache and the parallel executor.
-CampaignKey = tuple[object, ...]
+from repro.types import require_positive, require_whole
 
 
 class CampaignCacheProtocol(Protocol):
-    """Structural interface of the durable cache layer (get/put by key)."""
+    """Structural interface of a durable cache layer (get/put by spec)."""
 
-    def get(self, key: CampaignKey) -> Optional[CampaignResult]: ...
+    def get(self, spec: CampaignSpec) -> Optional[CampaignResult]: ...
 
-    def put(self, key: CampaignKey, result: CampaignResult) -> None: ...
+    def put(self, spec: CampaignSpec, result: CampaignResult) -> None: ...
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """One campaign's identity: every input that shapes its result.
+
+    Mirrors the :func:`run_campaign` signature.  The spec is frozen and
+    normalized on construction, so equivalent runs compare and hash
+    equal: it is itself the in-process memo key, the executor's dedup key
+    and the argument of the durable cache's token
+    (:func:`repro.sim.cache.cache_token`).  Chaos inputs normalize the
+    way the round loop executes them — an empty schedule is fault-free, a
+    schedule without a policy runs under the default
+    :class:`~repro.faults.recovery.RecoveryPolicy`, and a policy without
+    a schedule defends nothing — and a static servertune spec normalizes
+    to ``None``, so it shares keys (and traces) with pre-subsystem
+    campaigns.
+    """
+
+    device: str
+    task: str
+    controller: str
+    deadline_ratio: float
+    rounds: int = 100
+    seed: int = 0
+    bofl_config: Optional[BoFLConfig] = None
+    #: Optional chaos inputs: a fault schedule switches the campaign onto
+    #: the chaos engine, defended by the recovery policy.
+    fault_schedule: Optional[FaultSchedule] = None
+    recovery_policy: Optional[RecoveryPolicy] = None
+    #: Optional adaptive server controller above the round loop (it
+    #: reshapes the per-round deadlines).
+    servertune: Optional[ServerTuneSpec] = None
+
+    def __post_init__(self) -> None:
+        schedule, policy = self.fault_schedule, self.recovery_policy
+        if schedule is not None and schedule.is_empty:
+            schedule = None
+        if schedule is None:
+            policy = None
+        elif policy is None:
+            policy = RecoveryPolicy()
+        set_field = object.__setattr__  # the spec is frozen
+        set_field(self, "deadline_ratio", require_positive("deadline_ratio", self.deadline_ratio))
+        set_field(self, "rounds", require_whole("rounds", self.rounds, minimum=1))
+        set_field(self, "seed", require_whole("seed", self.seed))
+        set_field(self, "fault_schedule", schedule)
+        set_field(self, "recovery_policy", policy)
+        set_field(self, "servertune", normalize_servertune(self.servertune))
+
+    def label(self) -> str:
+        base = (
+            f"{self.device}/{self.task}/{self.controller}"
+            f"/r{self.deadline_ratio:g}/n{self.rounds}/s{self.seed}"
+        )
+        if self.fault_schedule is not None:
+            base += f"/chaos{len(self.fault_schedule)}"
+        if self.servertune is not None:
+            base += f"/tune-{self.servertune.controller}"
+        return base
+
+    def run(self, *, use_cache: bool = True) -> CampaignResult:
+        """Execute this spec in-process through :func:`run_campaign`."""
+        return run_campaign(
+            self.device,
+            self.task,
+            self.controller,
+            self.deadline_ratio,
+            rounds=self.rounds,
+            seed=self.seed,
+            bofl_config=self.bofl_config,
+            use_cache=use_cache,
+            fault_schedule=self.fault_schedule,
+            recovery_policy=self.recovery_policy,
+            servertune=self.servertune,
+        )
 
 
 #: Task registry by short name.
@@ -60,58 +133,11 @@ _TASKS: dict[str, Callable[[], FLTaskSpec]] = {
 #: defensive deepcopy so callers can mutate their result (``_annotate``
 #: does, and analysis code reasonably might) without corrupting the cache
 #: for every later caller.
-_CAMPAIGN_CACHE: dict[CampaignKey, CampaignResult] = {}
+_CAMPAIGN_CACHE: dict[CampaignSpec, CampaignResult] = {}
 
 #: Optional durable layer underneath the in-memory memo (see
 #: :mod:`repro.sim.cache`); ``None`` keeps the runner disk-free.
 _PERSISTENT_CACHE: Optional[CampaignCacheProtocol] = None
-
-
-def campaign_key(
-    device_name: str,
-    task_name: str,
-    controller_name: str,
-    deadline_ratio: float,
-    rounds: int,
-    seed: int,
-    bofl_config: Optional[BoFLConfig] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
-    recovery_policy: Optional[RecoveryPolicy] = None,
-    servertune: Optional[ServerTuneSpec] = None,
-) -> CampaignKey:
-    """The canonical cache key for one campaign.
-
-    Shared by the in-memory memo, the persistent cache and the parallel
-    executor so all three agree on what "the same campaign" means.  The
-    fault schedule and recovery policy are part of the key: a faulted
-    campaign must never collide with its fault-free twin (or with a
-    differently-defended run of the same schedule).  Chaos arguments are
-    normalized the same way :func:`run_campaign` executes them — an empty
-    schedule keys as fault-free, and a missing policy keys as the default
-    :class:`~repro.faults.recovery.RecoveryPolicy` — so every caller maps
-    equivalent runs to the same key.  A servertune spec joins the key
-    only when adaptive (an adaptive server controller reshapes the
-    per-round deadlines); static specs normalize to ``None`` so they
-    share keys with pre-subsystem campaigns.
-    """
-    if fault_schedule is not None and fault_schedule.is_empty:
-        fault_schedule = None
-    if fault_schedule is None:
-        recovery_policy = None
-    elif recovery_policy is None:
-        recovery_policy = RecoveryPolicy()
-    return (
-        device_name,
-        task_name,
-        controller_name,
-        float(deadline_ratio),
-        int(rounds),
-        int(seed),
-        bofl_config,
-        fault_schedule,
-        recovery_policy,
-        normalize_servertune(servertune),
-    )
 
 
 def clear_campaign_cache() -> None:
@@ -123,27 +149,54 @@ def install_persistent_cache(cache: Optional[CampaignCacheProtocol]) -> None:
     """Install (or with ``None`` remove) the process-wide durable cache.
 
     ``cache`` is a :class:`repro.sim.cache.PersistentCampaignCache` (or any
-    object with its ``get``/``put`` interface).  Once installed,
-    :func:`run_campaign` falls back to it on in-memory misses and writes
-    fresh results through to it.
+    object with its ``get``/``put`` interface).  Once installed, every
+    lookup (:func:`run_campaign` and the executor alike) falls back to it
+    on in-memory misses, and every fresh result is written through to it.
     """
     global _PERSISTENT_CACHE
     _PERSISTENT_CACHE = cache
 
 
-def get_persistent_cache() -> Optional[CampaignCacheProtocol]:
-    """The currently installed durable cache, or ``None``."""
-    return _PERSISTENT_CACHE
+def _durable_layers(
+    extra: Optional[CampaignCacheProtocol],
+) -> list[CampaignCacheProtocol]:
+    """The distinct durable layers: ``extra`` first, then the installed one."""
+    pair = (extra,) if extra is _PERSISTENT_CACHE else (extra, _PERSISTENT_CACHE)
+    return [layer for layer in pair if layer is not None]
 
 
-def prime_campaign_cache(key: CampaignKey, result: CampaignResult) -> None:
-    """Insert an externally computed result into the in-memory memo.
+def lookup_campaign(
+    spec: CampaignSpec, extra: Optional[CampaignCacheProtocol] = None
+) -> tuple[Optional[CampaignResult], str]:
+    """Resolve ``spec`` through the memo, then each durable layer.
 
-    Used by the parallel executor to make results computed in worker
-    processes visible to subsequent in-process :func:`run_campaign` calls.
-    A private copy is stored, mirroring the fresh-result path.
+    Returns a private copy of the result and the layer that served it
+    ("memory" or "disk"), or ``(None, "miss")``.  A disk hit is memoized,
+    so the next lookup in this process is served from memory.  ``extra``
+    is a durable layer besides the installed one (an executor's own
+    ``cache=``).
     """
-    _CAMPAIGN_CACHE[key] = copy.deepcopy(result)
+    cached = _CAMPAIGN_CACHE.get(spec)
+    if cached is not None:
+        return copy.deepcopy(cached), "memory"
+    for layer in _durable_layers(extra):
+        loaded = layer.get(spec)
+        if loaded is not None:
+            _CAMPAIGN_CACHE[spec] = loaded  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
+            return copy.deepcopy(loaded), "disk"
+    return None, "miss"
+
+
+def store_campaign(
+    spec: CampaignSpec,
+    result: CampaignResult,
+    extra: Optional[CampaignCacheProtocol] = None,
+) -> None:
+    """Write a fresh result through the memo (a private copy) and every
+    durable layer :func:`lookup_campaign` reads."""
+    _CAMPAIGN_CACHE[spec] = copy.deepcopy(result)  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
+    for layer in _durable_layers(extra):
+        layer.put(spec, result)
 
 
 def make_controller(
@@ -233,63 +286,48 @@ def run_campaign(
     normalized away, keeping those runs byte-identical to pre-subsystem
     campaigns.
     """
-    chaos = fault_schedule is not None and not fault_schedule.is_empty
-    if not chaos:
-        fault_schedule = None
-        recovery_policy = None
-    elif recovery_policy is None:
-        recovery_policy = RecoveryPolicy()
-    servertune = normalize_servertune(servertune)
-    key = campaign_key(
+    campaign = CampaignSpec(
         device_name, task_name, controller_name, deadline_ratio, rounds, seed,
         bofl_config, fault_schedule, recovery_policy, servertune,
     )
     if use_cache:
-        cached = _CAMPAIGN_CACHE.get(key)
+        cached, layer = lookup_campaign(campaign)
+        _emit_cache_event(layer, campaign)
         if cached is not None:
-            _emit_cache_event("memory", device_name, task_name, controller_name, seed)
-            return copy.deepcopy(cached)
-        if _PERSISTENT_CACHE is not None:
-            loaded = _PERSISTENT_CACHE.get(key)
-            if loaded is not None:
-                _CAMPAIGN_CACHE[key] = loaded  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
-                _emit_cache_event("disk", device_name, task_name, controller_name, seed)
-                return copy.deepcopy(loaded)
-        _emit_cache_event("miss", device_name, task_name, controller_name, seed)
+            return cached
 
     spec = get_device(device_name)
     task = _task_by_name(task_name)
     # Device noise is paired across controllers: seed depends on the
     # scenario, not the controller.  (zlib.crc32 is stable across processes,
     # unlike the builtin string hash.)
-    scenario_seed = zlib.crc32(f"{device_name}/{task_name}/{seed}".encode()) % (2**31)
+    scenario_seed = zlib.crc32(f"{device_name}/{task_name}/{campaign.seed}".encode()) % (2**31)
     # Thermal-trip faults need a thermal state to force; attaching the
     # model only when required keeps fault-free twins byte-identical to
     # historical runs.
+    schedule, policy = campaign.fault_schedule, campaign.recovery_policy
     thermal = (
-        ThermalModel()
-        if fault_schedule is not None and fault_schedule.needs_thermal
-        else None
+        ThermalModel() if schedule is not None and schedule.needs_thermal else None
     )
     device = SimulatedDevice(spec, task.workload, seed=scenario_seed, thermal=thermal)
     # Build (or attach to) the shared whole-space objective tensor up
     # front so the per-minibatch hot path is lookups from the first job.
     device.model.objective_tensor()
     controller = make_controller(
-        controller_name, device, seed=seed, bofl_config=bofl_config
+        controller_name, device, seed=campaign.seed, bofl_config=bofl_config
     )
 
     jobs = task.jobs_per_round(spec)
     t_min = device.model.latency(spec.space.max_configuration()) * jobs
-    deadlines = UniformDeadlines(deadline_ratio).generate(
-        t_min, rounds, seed=scenario_seed + 1
+    deadlines = UniformDeadlines(campaign.deadline_ratio).generate(
+        t_min, campaign.rounds, seed=scenario_seed + 1
     )
 
     result = CampaignResult(
         controller=controller_name,
         device=device_name,
         task=task_name,
-        deadline_ratio=deadline_ratio,
+        deadline_ratio=campaign.deadline_ratio,
     )
     obs.emit(
         "campaign.start",
@@ -297,25 +335,24 @@ def run_campaign(
         device=device_name,
         task=task_name,
         controller=controller_name,
-        deadline_ratio=float(deadline_ratio),
-        rounds=int(rounds),
-        seed=int(seed),
+        deadline_ratio=campaign.deadline_ratio,
+        rounds=campaign.rounds,
+        seed=campaign.seed,
         jobs_per_round=jobs,
     )
     engine = None
-    if fault_schedule is not None and recovery_policy is not None:
+    if schedule is not None and policy is not None:
         from repro.faults.engine import ChaosRoundEngine
 
         obs.emit(
             "chaos.schedule",
             t=device.clock.now,
-            schedule=fault_schedule.to_dict(),
-            policy=recovery_policy.to_dict(),
+            schedule=schedule.to_dict(),
+            policy=policy.to_dict(),
         )
-        engine = ChaosRoundEngine(
-            device, controller, fault_schedule, recovery_policy
-        )
-    tuner = make_server_controller(servertune) if servertune is not None else None
+        engine = ChaosRoundEngine(device, controller, schedule, policy)
+    tune = campaign.servertune
+    tuner = make_server_controller(tune) if tune is not None else None
     cumulative_energy = 0.0
     cumulative_elapsed = 0.0
     for index, deadline in enumerate(deadlines):
@@ -391,9 +428,7 @@ def run_campaign(
         explored_total=result.explored_total,
     )
     if use_cache:
-        _CAMPAIGN_CACHE[key] = copy.deepcopy(result)  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
-        if _PERSISTENT_CACHE is not None:
-            _PERSISTENT_CACHE.put(key, result)
+        store_campaign(campaign, result)
     return result
 
 
@@ -425,17 +460,15 @@ def _annotate(result: CampaignResult, controller: PaceController) -> None:
         ]
 
 
-def _emit_cache_event(
-    layer: str, device: str, task: str, controller: str, seed: int
-) -> None:
+def _emit_cache_event(layer: str, spec: CampaignSpec) -> None:
     """Record one campaign-cache lookup outcome (memory/disk hit or miss)."""
     if obs.enabled():
         obs.emit(
             "campaign.cache",
             layer=layer,
-            device=device,
-            task=task,
-            controller=controller,
-            seed=int(seed),
+            device=spec.device,
+            task=spec.task,
+            controller=spec.controller,
+            seed=spec.seed,
         )
         obs.count(f"campaign.cache_{layer}")

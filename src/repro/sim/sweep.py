@@ -20,7 +20,6 @@ from repro.core.config import BoFLConfig
 from repro.core.records import CampaignResult
 from repro.errors import ConfigurationError
 from repro.sim.executor import CampaignExecutor, expand_grid
-from repro.sim.runner import run_campaign
 
 
 @dataclass(frozen=True)
@@ -82,49 +81,33 @@ def sweep_campaign(
     Each seed draws its own deadline sequence and noise stream (still
     paired across the three controllers within the seed).
 
-    ``workers > 1`` (or an explicit ``executor``) fans the per-seed
-    campaigns out over worker processes; each work unit derives its
-    scenario seed exactly as the serial path does, so the aggregate is
-    identical either way.
+    The campaigns run through a :class:`CampaignExecutor`: ``executor``
+    if given, else a new one with ``workers`` processes (``workers=1``
+    computes in-process).  Each work unit derives its scenario seed
+    exactly as a serial ``run_campaign`` does, so the aggregate is
+    identical for any worker count.
     """
     # Normalize up front: a generator would pass the emptiness check, get
-    # consumed by the campaign loop, and then record an empty seed tuple.
+    # consumed by the grid expansion, and then record an empty seed tuple.
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    if executor is None and workers != 1:
+    if executor is None:
         executor = CampaignExecutor(workers=workers)
 
-    controllers = ("bofl", "performant", "oracle")
+    specs = expand_grid(
+        devices=(device,),
+        tasks=(task,),
+        controllers=("bofl", "performant", "oracle"),
+        ratios=(deadline_ratio,),
+        seeds=seeds,
+        rounds=rounds,
+        bofl_config=bofl_config,
+    )
+    report = executor.run(specs, use_cache=use_cache)
     campaigns: dict[int, dict[str, CampaignResult]] = {}
-    if executor is not None:
-        specs = expand_grid(
-            devices=(device,),
-            tasks=(task,),
-            controllers=controllers,
-            ratios=(deadline_ratio,),
-            seeds=seeds,
-            rounds=rounds,
-            bofl_config=bofl_config,
-        )
-        report = executor.run(specs, use_cache=use_cache)
-        for spec, result in zip(specs, report.results):
-            campaigns.setdefault(spec.seed, {})[spec.controller] = result
-    else:
-        for seed in seeds:
-            campaigns[seed] = {
-                name: run_campaign(
-                    device,
-                    task,
-                    name,
-                    deadline_ratio,
-                    rounds=rounds,
-                    seed=seed,
-                    bofl_config=bofl_config if name == "bofl" else None,
-                    use_cache=use_cache,
-                )
-                for name in controllers
-            }
+    for spec, result in zip(specs, report.results):
+        campaigns.setdefault(spec.seed, {})[spec.controller] = result
 
     improvements: list[float] = []
     regrets: list[float] = []

@@ -277,7 +277,10 @@ def require_whole(name: str, value: object, *, minimum: int = 0) -> int:
     raise :class:`ConfigurationError` naming the field.
     """
     whole = None
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    # ``type(value) is int`` first: the common case, without the slow ABC check.
+    if type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    ):
         whole = int(value)
     elif isinstance(value, float) and value.is_integer():  # False for NaN, inf
         whole = int(value)

@@ -1,5 +1,7 @@
 """Behavioural tests for the four baseline controllers."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -9,6 +11,7 @@ from repro.baselines import (
     RandomSearchController,
 )
 from repro.core import Phase
+from repro.core.config import BoFLConfig
 from repro.federated.deadlines import UniformDeadlines
 from repro.hardware import SimulatedDevice
 from tests.conftest import build_tiny_spec, build_tiny_workload
@@ -95,6 +98,19 @@ class TestRandomSearch:
         controller = RandomSearchController(device(), fast_config)
         assert controller.config.mbo_enabled is False
         assert controller.config.tau == fast_config.tau
+
+    def test_keeps_every_other_config_field(self):
+        # The controller used to rebuild the config field by field and lost
+        # the four drift/warm-start fields on the way.
+        config = BoFLConfig(
+            drift_reexploration=True,
+            drift_threshold=0.3,
+            drift_smoothing=0.5,
+            warm_start_fits=False,
+            seed=4,
+        )
+        controller = RandomSearchController(device(), config)
+        assert controller.config == dataclasses.replace(config, mbo_enabled=False)
 
     def test_runs_through_all_phases(self, fast_config):
         dev = device()

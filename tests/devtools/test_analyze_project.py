@@ -196,8 +196,8 @@ class TestCallGraph:
         project = ProjectIndex.load([repo / "src" / "repro"], repo)
         graph = CallGraph.build(project)
         parents = graph.reachable(["repro.sim.executor._compute_spec"])
-        # The annotated-parameter hop: _compute_spec(spec: CampaignSpec)
-        # -> CampaignSpec.run -> run_campaign.
+        # The from-import hop: _compute_spec -> the executor's module-level
+        # ``run_campaign`` -> repro.sim.runner.run_campaign.
         assert "repro.sim.runner.run_campaign" in parents
 
     def test_real_tree_calls_through_packages_resolve(self):

@@ -5,8 +5,13 @@ import pytest
 from repro.analysis.io import campaign_from_dict, campaign_to_dict
 from repro.faults import FaultSchedule, FaultSpec, RecoveryPolicy
 from repro.faults.recovery import NO_RECOVERY
-from repro.sim.chaos import CHAOS_PRESETS, preset_schedule, run_chaos
-from repro.sim.runner import campaign_key, run_campaign
+from repro.sim.chaos import (
+    CHAOS_PRESETS,
+    chaos_report_from_trace,
+    preset_schedule,
+    run_chaos,
+)
+from repro.sim.runner import CampaignSpec, run_campaign
 from repro.errors import ConfigurationError
 
 ROUNDS = 5
@@ -41,29 +46,29 @@ class TestRunnerChaosPath:
 
 class TestCacheKeys:
     def test_schedule_and_policy_separate_keys(self):
-        base = campaign_key("agx", "vit", "bofl", 2.0, ROUNDS, 0)
-        faulted = campaign_key(
+        base = CampaignSpec("agx", "vit", "bofl", 2.0, ROUNDS, 0)
+        faulted = CampaignSpec(
             "agx", "vit", "bofl", 2.0, ROUNDS, 0,
             fault_schedule=tiny_schedule(),
         )
-        defenseless = campaign_key(
+        defenseless = CampaignSpec(
             "agx", "vit", "bofl", 2.0, ROUNDS, 0,
             fault_schedule=tiny_schedule(), recovery_policy=NO_RECOVERY,
         )
         assert len({base, faulted, defenseless}) == 3
 
     def test_empty_schedule_normalizes_to_fault_free(self):
-        explicit = campaign_key(
+        explicit = CampaignSpec(
             "agx", "vit", "bofl", 2.0, ROUNDS, 0,
             fault_schedule=FaultSchedule(), recovery_policy=RecoveryPolicy(),
         )
-        assert explicit == campaign_key("agx", "vit", "bofl", 2.0, ROUNDS, 0)
+        assert explicit == CampaignSpec("agx", "vit", "bofl", 2.0, ROUNDS, 0)
 
     def test_missing_policy_defaults_to_full_recovery(self):
-        implied = campaign_key(
+        implied = CampaignSpec(
             "agx", "vit", "bofl", 2.0, ROUNDS, 0, fault_schedule=tiny_schedule()
         )
-        explicit = campaign_key(
+        explicit = CampaignSpec(
             "agx", "vit", "bofl", 2.0, ROUNDS, 0,
             fault_schedule=tiny_schedule(), recovery_policy=RecoveryPolicy(),
         )
@@ -86,6 +91,17 @@ class TestSerialization:
 
 
 class TestChaosOrchestration:
+    def test_report_reads_a_columnar_copy_of_the_trace(self, tmp_path):
+        from repro.obs import runtime as obs
+        from repro.obs.columnar import write_columnar
+        from repro.obs.events import read_jsonl
+
+        with obs.session(deterministic=True) as session:
+            run_chaos("agx", "vit", "performant", 2.0, rounds=6, seed=0)
+        jsonl = session.log.dump_jsonl(tmp_path / "chaos.jsonl")
+        columnar = write_columnar(tmp_path / "chaos.col", read_jsonl(jsonl))
+        assert chaos_report_from_trace(columnar) == chaos_report_from_trace(jsonl)
+
     def test_preset_schedules_are_seeded(self):
         for preset in CHAOS_PRESETS:
             a = preset_schedule(preset, 3, 12)

@@ -103,9 +103,7 @@ class TestEngineValidation:
             AsyncFederationEngine(clients).run(0)
         assert set(FLEET_MODES) == {"sync", "semisync", "async"}
 
-    @pytest.mark.parametrize(
-        "knob", ["buffer_size", "max_staleness", "target_reports", "shards"]
-    )
+    @pytest.mark.parametrize("knob", ["buffer_size", "max_staleness", "target_reports"])
     @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "3"])
     def test_whole_number_knobs(self, knob, bad):
         """A fractional buffer used to flush every 5th report without a
@@ -114,6 +112,21 @@ class TestEngineValidation:
             AsyncFederationEngine(make_fleet(2), **{knob: bad})
         engine = AsyncFederationEngine(make_fleet(2), **{knob: 3.0})
         assert type(getattr(engine, knob)) is int
+
+    def test_thread_sharded_compose_is_gone(self):
+        """The thread-sharded upload fill was slower than the serial one."""
+        import inspect
+
+        from repro.cli import build_parser
+        from repro.federated.eventqueue import build_trace_arrays
+        from repro.obs.metrics import COUNTER_NAMES
+        from repro.sim.fleet import compose_fleet, run_fleet
+
+        for function in (build_trace_arrays, AsyncFederationEngine, compose_fleet, run_fleet):
+            assert "shards" not in inspect.signature(function).parameters
+        assert "fleet.compose_shards" not in COUNTER_NAMES
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "run", "--compose-shards", "2"])
 
 
 class TestSyncMode:

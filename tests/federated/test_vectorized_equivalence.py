@@ -295,23 +295,6 @@ class TestStatsDetail:
         assert all("stats" in rnd for rnd in payload["rounds"])
 
 
-class TestShardedCompose:
-    """Sharding the trace-column build never changes a byte."""
-
-    @pytest.mark.parametrize("mode", ["sync", "async"])
-    def test_serial_equals_sharded(self, mode, trace_cache):
-        spec = FleetSpec(
-            **dict(BASE, mode=mode, seed=23, chaos_fraction=0.4, chaos_seed=3)
-        )
-        clients = trace_cache(spec)
-        serial = compose_fleet(spec, clients)
-        for shards in (1, 2, 5):
-            sharded = compose_fleet(spec, clients, shards=shards)
-            assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-                sharded.to_dict(), sort_keys=True
-            )
-
-
 class TestFleetSmokeSpec:
     """CI's fleet-smoke spec, end to end through ``repro fleet run``."""
 

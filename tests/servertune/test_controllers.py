@@ -61,6 +61,14 @@ class TestServerKnobs:
         with pytest.raises(ConfigurationError):
             ServerKnobs(**kwargs)
 
+    @pytest.mark.parametrize("name", ["deadline_scale", "buffer_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scales_by_name(self, name, value):
+        # ``nan <= 0`` is False: a NaN buffer scale used to reach the async
+        # drain's ``round(threshold * nan)`` as a bare ValueError.
+        with pytest.raises(ConfigurationError, match=f"{name} must be a finite positive"):
+            ServerKnobs(**{name: value})
+
 
 class TestRoundFeedback:
     def test_straggler_rate_and_energy_per_report(self):

@@ -128,10 +128,10 @@ class TestStaticIsANoOp:
     """The static spec must be indistinguishable from no subsystem at all."""
 
     def test_static_spec_normalizes_out_of_cache_keys(self):
-        from repro.sim.runner import campaign_key
+        from repro.sim.runner import CampaignSpec
 
-        bare = campaign_key("agx", "vit", "performant", 2.0, 3, 0)
-        static = campaign_key(
+        bare = CampaignSpec("agx", "vit", "performant", 2.0, 3, 0)
+        static = CampaignSpec(
             "agx", "vit", "performant", 2.0, 3, 0,
             servertune=normalize_servertune(ServerTuneSpec()),
         )

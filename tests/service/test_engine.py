@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.service.api import DecisionRequest
 from repro.service.archetypes import ArchetypeProfile, get_profile, plan_or_fallback
+from repro.service.cache import DecisionCache
 from repro.service.engine import PaceDecisionService, ServiceConfig, ServiceCostModel
 from repro.types import DvfsConfiguration
 
@@ -227,6 +228,24 @@ class TestConfiguration:
     def test_timeout_must_be_finite(self, timeout):
         with pytest.raises(ConfigurationError, match="timeout must be a finite"):
             ServiceConfig(timeout=timeout)
+
+    @pytest.mark.parametrize("name", ["max_queue", "cache_entries"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0, True])
+    def test_bounds_must_be_whole(self, name, value):
+        # A NaN bound never triggers: the queue never degraded and the
+        # LRU never evicted.
+        with pytest.raises(ConfigurationError, match=f"{name} must be a whole number >= 1"):
+            ServiceConfig(**{name: value})
+
+    def test_integral_bounds_normalize_to_int(self):
+        config = ServiceConfig(max_queue=8.0, cache_entries=16.0)
+        assert (config.max_queue, config.cache_entries) == (8, 16)
+        assert type(config.max_queue) is int and type(config.cache_entries) is int
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 0])
+    def test_decision_cache_capacity_must_be_whole(self, value):
+        with pytest.raises(ConfigurationError, match="max_entries must be a whole"):
+            DecisionCache(value)
 
     @pytest.mark.parametrize(
         "name", ["hit", "evaluate", "per_candidate", "profile_build", "degraded"]

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from repro import obs
+from repro.obs.columnar import write_columnar
+from repro.obs.events import read_jsonl
 from repro.errors import ConfigurationError
 from repro.service import (
     fleet_requests,
@@ -160,6 +162,13 @@ class TestTraceReplay:
         assert f"decisions        : {report.requests}" in rendered
         assert f"p50 {report.p50 * 1e3:.3f} ms" in rendered
         assert f"p99 {report.p99 * 1e3:.3f} ms" in rendered
+
+    def test_columnar_copy_renders_the_same(self, tmp_path):
+        with obs.session(deterministic=True) as session:
+            run_loadtest(SPEC, rate=200.0, passes=2)
+        jsonl = session.log.dump_jsonl(tmp_path / "service.jsonl")
+        columnar = write_columnar(tmp_path / "service.col", read_jsonl(jsonl))
+        assert service_report_from_trace(columnar) == service_report_from_trace(jsonl)
 
     def test_serviceless_trace_fails_cleanly(self, tmp_path):
         with obs.session(deterministic=True) as session:

@@ -16,7 +16,6 @@ from repro.sim import (
     CampaignSpec,
     PersistentCampaignCache,
     clear_campaign_cache,
-    execute_campaigns,
     expand_grid,
     install_persistent_cache,
     resolve_workers,
@@ -54,10 +53,10 @@ def count_deepcopies(monkeypatch):
 
 class TestSpecAndGrid:
     def test_spec_key_matches_runner_key(self):
+        # The runner memoizes under the spec itself: there is no second key.
+        run_campaign("agx", "vit", "performant", 2, rounds=3.0, seed=1)
         spec = CampaignSpec("agx", "vit", "performant", 2.0, rounds=3, seed=1)
-        assert spec.key() == runner_module.campaign_key(
-            "agx", "vit", "performant", 2.0, 3, 1, None
-        )
+        assert list(runner_module._CAMPAIGN_CACHE) == [spec]
 
     def test_spec_run_is_plain_run_campaign(self):
         spec = CampaignSpec("agx", "vit", "performant", 2.0, rounds=2, seed=0)
@@ -75,7 +74,7 @@ class TestSpecAndGrid:
             rounds=5,
         )
         assert len(specs) == 2 * 1 * 2 * 2 * 3
-        assert len({s.key() for s in specs}) == len(specs)
+        assert len(set(specs)) == len(specs)
 
     def test_expand_grid_attaches_config_only_to_bofl(self, fast_config):
         specs = expand_grid(
@@ -129,11 +128,11 @@ class TestExecution:
 
     def test_workers_one_primes_the_memo(self):
         CampaignExecutor(workers=1).run([SPECS[0]])
-        assert SPECS[0].key() in runner_module._CAMPAIGN_CACHE
+        assert SPECS[0] in runner_module._CAMPAIGN_CACHE
 
     def test_parallel_run_primes_the_memo(self):
         CampaignExecutor(workers=2).run([SPECS[0]])
-        assert SPECS[0].key() in runner_module._CAMPAIGN_CACHE
+        assert SPECS[0] in runner_module._CAMPAIGN_CACHE
 
     def test_second_run_is_memory_served(self):
         executor = CampaignExecutor(workers=2)
@@ -159,10 +158,6 @@ class TestExecution:
         again = executor.run(SPECS)
         assert again.from_cache == len(SPECS)
         assert "campaigns" in report.render()
-
-    def test_execute_campaigns_helper(self):
-        report = execute_campaigns(SPECS[:2], workers=1)
-        assert len(report.results) == 2
 
     def test_executor_results_do_not_alias_the_memo(self):
         executor = CampaignExecutor(workers=1)

@@ -173,7 +173,7 @@ class TestClientChaos:
         clients = build_fleet_clients(spec)
         mates = [c for c in clients if c.index % 12 == 0]  # same archetype cycle
         keys = {
-            campaign_spec_for(c, spec).key()
+            campaign_spec_for(c, spec)
             for c in clients
             if c.trace_seed == clients[0].trace_seed
             and (c.device, c.task, c.controller)
@@ -261,7 +261,7 @@ class TestWarmPrepare:
             warm = prepare_fleet(spec, workers=1)
         finally:
             clear_campaign_cache()
-        keys = {campaign_spec_for(client, spec).key() for client in warm}
+        keys = {campaign_spec_for(client, spec) for client in warm}
         assert len({id(client.records) for client in warm}) == len(keys)
         assert fleet_summary(spec, compose_fleet(spec, warm)) == fleet_summary(
             spec, compose_fleet(spec, cold)

@@ -7,13 +7,13 @@ import pytest
 from repro.core.config import BoFLConfig
 from repro.errors import ConfigurationError
 from repro.sim import (
+    CampaignSpec,
     PersistentCampaignCache,
-    campaign_key,
     clear_campaign_cache,
-    get_persistent_cache,
     install_persistent_cache,
     run_campaign,
 )
+from repro.sim import runner as runner_module
 from repro.sim.cache import (
     CACHE_SCHEMA_VERSION,
     STATS_SIDECAR,
@@ -37,7 +37,7 @@ def cache(tmp_path):
 
 
 def _key(seed=0, rounds=3, config=None):
-    return campaign_key("agx", "vit", "performant", 2.0, rounds, seed, config)
+    return CampaignSpec("agx", "vit", "performant", 2.0, rounds, seed, config)
 
 
 def _result(seed=0, rounds=3):
@@ -82,7 +82,7 @@ class TestRoundTrip:
         result = run_campaign(
             "agx", "vit", "bofl", 2.0, rounds=5, seed=0, use_cache=False
         )
-        key = campaign_key("agx", "vit", "bofl", 2.0, 5, 0, None)
+        key = CampaignSpec("agx", "vit", "bofl", 2.0, 5, 0)
         cache.put(key, result)
         assert cache.get(key) == result
 
@@ -154,13 +154,20 @@ class TestEvictionAndMaintenance:
         with pytest.raises(ConfigurationError):
             PersistentCampaignCache(tmp_path, max_bytes=0)
 
+    @pytest.mark.parametrize("name", ["max_entries", "max_bytes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5])
+    def test_bounds_must_be_whole(self, tmp_path, name, value):
+        # A NaN bound used to construct, and eviction never triggered.
+        with pytest.raises(ConfigurationError, match=f"{name} must be a whole number >= 1"):
+            PersistentCampaignCache(tmp_path, **{name: value})
+
 
 class TestRunnerIntegration:
     def test_install_get_uninstall(self, cache):
         install_persistent_cache(cache)
-        assert get_persistent_cache() is cache
+        assert runner_module._PERSISTENT_CACHE is cache
         install_persistent_cache(None)
-        assert get_persistent_cache() is None
+        assert runner_module._PERSISTENT_CACHE is None
 
     def test_run_campaign_writes_through_and_reads_back(self, cache):
         install_persistent_cache(cache)

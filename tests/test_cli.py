@@ -45,6 +45,39 @@ class TestCommands:
         assert main(["run", "fig99"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_refuses_an_option_the_driver_does_not_take(self, capsys):
+        assert main(["run", "fig2", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "experiment 'fig2' does not take --seed" in err
+        assert "unexpected keyword" not in err
+
+    def test_run_refuses_before_warming(self, tmp_path, capsys):
+        # fig12's driver sweeps ``ratios``; a --ratio used to warm nine
+        # campaigns first and only then fail inside the driver.
+        from repro.sim import clear_campaign_cache, install_persistent_cache
+        from repro.sim import runner as runner_module
+
+        clear_campaign_cache()
+        cache_dir = tmp_path / "cache"
+        try:
+            code = main([
+                "run", "fig12", "--ratio", "2.5", "--rounds", "3",
+                "--workers", "2", "--cache-dir", str(cache_dir),
+            ])
+            assert not runner_module._CAMPAIGN_CACHE
+        finally:
+            install_persistent_cache(None)
+            clear_campaign_cache()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "experiment 'fig12' does not take --ratio; it takes --rounds, --seed" in err
+        assert not cache_dir.exists()
+
+    def test_run_forwards_every_option_to_a_kwargs_driver(self, capsys):
+        # fig10's driver forwards **kwargs to fig9's, which takes them all.
+        assert main(["run", "fig10", "--rounds", "2", "--seed", "1"]) == 0
+        assert "improvement vs Performant" in capsys.readouterr().out
+
     def test_campaign_summary(self, capsys):
         code = main(
             ["campaign", "--controller", "performant", "--rounds", "2", "--task", "lstm"]
