@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.obs import runtime as obs
-from repro.obs.columnar import write_columnar
+from repro.obs.columnar import write_trace
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.fleet import FleetSpec, compose_fleet, prepare_fleet
 from repro.sim.runner import clear_campaign_cache
@@ -87,8 +87,8 @@ def test_columnar_trace_is_smaller(tmp_path, clients):
     small = prepare_fleet(spec)
     with obs.session(deterministic=True) as session:
         compose_fleet(spec, small)
-    jsonl = session.log.dump_jsonl(tmp_path / "trace.jsonl")
-    columnar = write_columnar(tmp_path / "trace.col", list(session.log))
+    jsonl = write_trace(tmp_path / "trace.jsonl", session.log)
+    columnar = write_trace(tmp_path / "trace.col", session.log)
     ratio = columnar.stat().st_size / jsonl.stat().st_size
     assert ratio < 0.75, f"columnar/jsonl size ratio {ratio:.2f}"
 

@@ -82,7 +82,7 @@ def obs_trace(request):
     with obs.session() as session:
         yield
     safe = re.sub(r"[^\w.-]+", "_", request.node.nodeid)
-    session.log.dump_jsonl(pathlib.Path(trace_dir) / f"{safe}.jsonl")
+    obs.write_trace(pathlib.Path(trace_dir) / f"{safe}.jsonl", session.log)
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ def build_report(rounds: int, seeds: list[int], trace_dir: str = "") -> dict:
                 )
         total_seconds = time.perf_counter() - started
     if trace_dir:
-        session.log.dump_jsonl(pathlib.Path(trace_dir) / "bench_report.jsonl")
+        obs.write_trace(pathlib.Path(trace_dir) / "bench_report.jsonl", session.log)
     return {
         "schema": 1,
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),

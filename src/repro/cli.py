@@ -9,13 +9,12 @@ Twelve subcommands:
   (e.g. ``python -m repro campaign --controller bofl --task lstm``);
 * ``sweep`` — run a multi-seed campaign sweep, optionally in parallel
   (e.g. ``python -m repro sweep --task vit --seeds 0 1 2 3 --workers 4``);
-* ``chaos run|report`` — fault-injection campaigns: run a faulted
-  campaign next to its fault-free twin and report resilience metrics, or
-  summarize a recorded chaos trace (``docs/fault_injection.md``);
-* ``fleet run|report`` — fleet-scale federation: prepare a heterogeneous
-  client population (traces shard over ``--workers``) and compose it
-  under sync / semi-sync / async aggregation, or summarize a recorded
-  fleet trace (``docs/async_federation.md``);
+* ``chaos run`` — fault-injection campaigns: run a faulted campaign next
+  to its fault-free twin and report resilience metrics
+  (``docs/fault_injection.md``);
+* ``fleet run`` — fleet-scale federation: prepare a heterogeneous client
+  population (traces shard over ``--workers``) and compose it under
+  sync / semi-sync / async aggregation (``docs/async_federation.md``);
 * ``servertune run|report`` — server-side co-optimization: run a
   population-based search over adaptive global-knob controllers against
   a fleet workload and print the (energy, latency) frontier, or render a
@@ -27,9 +26,9 @@ Twelve subcommands:
   and report p50/p99 latency, throughput, cache hit rate and coalescing
   (e.g. ``python -m repro loadtest --clients 60 --passes 2``);
 * ``cache`` — inspect or clear the persistent campaign result cache;
-* ``trace`` — replay a recorded observability trace (``campaign
-  --trace out.jsonl`` records one) as a summary or as the trace-derived
-  Table 3 / Fig. 13 views;
+* ``trace`` — replay a recorded observability trace as one view: a
+  summary, the trace-derived Table 3 / Fig. 13, or the fleet, chaos and
+  service reports;
 * ``analyze`` — determinism-aware static analysis of the source tree
   (``docs/static_analysis.md``): per-module rules (wall-clock reads,
   unseeded randomness, ...) and an interprocedural call-graph pass
@@ -41,13 +40,18 @@ Twelve subcommands:
 :class:`repro.sim.CampaignExecutor`; results are identical to the serial
 path.  ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) enables the durable
 on-disk result cache so repeated invocations skip recomputation.
+Every ``--trace PATH`` records through :func:`_recording`, and
+``repro trace PATH --view V`` replays it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import pathlib
 import sys
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
@@ -58,8 +62,12 @@ if TYPE_CHECKING:
     from repro.service.engine import ServiceConfig
     from repro.sim.executor import CampaignTiming, ProgressCallback
 
-#: Views ``repro trace`` can render from a JSONL event trace.
-TRACE_VIEWS = ("summary", "tab3", "fig13")
+#: Views ``repro trace`` can render (``repro.obs.trace.TRACE_VIEWS``,
+#: repeated here so the argparse tree loads no numpy).
+TRACE_VIEWS = ("summary", "tab3", "fig13", "fleet", "chaos", "service")
+
+#: ``--trace`` help shared by every command that records one.
+_TRACE_HELP = "record an obs trace to PATH (.jsonl: JSON Lines, else columnar)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,9 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="persistent result cache directory"
     )
     campaign.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record an observability trace of the campaign to PATH (JSONL); "
-        "forces a fresh (uncached) run so the trace is complete",
+        "--trace", default=None, metavar="PATH", help=_TRACE_HELP + " (runs uncached)"
     )
 
     sweep = commands.add_parser("sweep", help="multi-seed sweep (BoFL vs baselines)")
@@ -124,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated arrival rate for the stream (default 200 req/s)",
     )
     _add_service_options(serve)
-    serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a deterministic obs trace of the service to PATH (JSONL)",
-    )
+    serve.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
 
     loadtest = commands.add_parser(
         "loadtest",
@@ -157,14 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--decision-log", default=None, metavar="PATH",
         help="write the canonical decision log (byte-stable JSONL) to PATH",
     )
-    loadtest.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a deterministic obs trace of the replay to PATH (JSONL)",
-    )
-    loadtest.add_argument(
-        "--from-trace", default=None, metavar="PATH",
-        help="skip the replay: recompute the summary from a recorded trace",
-    )
+    loadtest.add_argument("--trace", default=None, metavar="PATH", help=_TRACE_HELP)
 
     cache = commands.add_parser("cache", help="persistent result cache maintenance")
     cache.add_argument("action", choices=("stats", "clear"))
@@ -200,14 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_run.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record an observability trace to PATH (JSONL); forces a "
-        "serial, uncached run so the trace is complete and byte-stable",
+        help=_TRACE_HELP + " (runs serial and uncached)",
     )
     _add_parallel_options(chaos_run)
-    chaos_report = chaos_commands.add_parser(
-        "report", help="summarize the fault/recovery activity of a trace"
-    )
-    chaos_report.add_argument("file", help="trace written by chaos run --trace")
 
     fleet = commands.add_parser(
         "fleet", help="fleet-scale federation runs (see docs/async_federation.md)"
@@ -268,16 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a deterministic obs trace of the composition to PATH; "
-        "a .jsonl suffix writes row-per-event JSON Lines (byte-identical "
-        "for any --workers value), anything else streams the bounded-"
-        "memory columnar format",
+        help=_TRACE_HELP + " (the composition only: same bytes for any --workers)",
     )
     _add_parallel_options(fleet_run)
-    fleet_report = fleet_commands.add_parser(
-        "report", help="summarize the fleet activity of a recorded trace"
-    )
-    fleet_report.add_argument("file", help="trace written by fleet run --trace")
 
     servertune = commands.add_parser(
         "servertune",
@@ -332,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     servertune_run.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a deterministic obs trace of the PBT run to PATH "
-        "(JSONL); the trace is byte-identical for any --workers value",
+        help=_TRACE_HELP + " (same bytes for any --workers)",
     )
     _add_parallel_options(servertune_run)
     servertune_report = servertune_commands.add_parser(
@@ -344,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = commands.add_parser(
-        "trace", help="replay a recorded observability trace (JSONL)"
+        "trace", help="replay a recorded observability trace (JSONL or columnar)"
     )
-    trace.add_argument("file", help="trace file written by campaign --trace")
+    trace.add_argument("file", help="trace file written by any --trace option")
     trace.add_argument(
         "--view", default="summary", choices=TRACE_VIEWS,
-        help="what to render: an activity summary, or the trace-derived "
-        "Table 3 / Fig. 13 artifacts",
+        help="what to render: an activity summary, the trace-derived "
+        "Table 3 / Fig. 13 artifacts, or the fleet, chaos or service report",
     )
 
     analyze = commands.add_parser(
@@ -505,21 +488,8 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
     from repro.analysis.tables import render_kv
     from repro.sim.runner import run_campaign
 
-    if args.trace:
-        # A cached result would leave the trace empty; always recompute.
-        with obs.session() as session:
-            result = run_campaign(
-                args.device,
-                args.task,
-                args.controller,
-                args.ratio,
-                rounds=args.rounds,
-                seed=args.seed,
-                use_cache=False,
-            )
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
+    # A cached result would leave the trace empty; tracing recomputes.
+    with _recording(args.trace, deterministic=False):
         result = run_campaign(
             args.device,
             args.task,
@@ -527,6 +497,7 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
             args.ratio,
             rounds=args.rounds,
             seed=args.seed,
+            use_cache=not args.trace,
         )
     pairs = [
         ("controller", result.controller),
@@ -615,12 +586,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         service.close()
         return service
 
-    if args.trace:
-        with obs.session(deterministic=True) as session:
-            service = _replay()
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
+    with _recording(args.trace):
         service = _replay()
     stats = service.stats()
     print(
@@ -635,11 +601,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> str:
-    from repro.service.loadgen import run_loadtest, service_report_from_trace
+    from repro.service.loadgen import run_loadtest
     from repro.sim.fleet import FleetSpec
 
-    if args.from_trace:
-        return service_report_from_trace(args.from_trace)
     spec = FleetSpec(
         n_clients=args.clients,
         rounds=args.rounds,
@@ -648,18 +612,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> str:
         archetypes=args.archetypes if args.archetypes else None,
     )
     config = _service_config(args)
-    if args.trace:
-        with obs.session(deterministic=True) as session:
-            report = run_loadtest(
-                spec, rate=args.rate, passes=args.passes, config=config
-            )
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
-        with obs.session():
-            report = run_loadtest(
-                spec, rate=args.rate, passes=args.passes, config=config
-            )
+    # The replay needs a session for its wall-clock timer; an untraced one
+    # keeps a single event.
+    with _recording(args.trace) if args.trace else obs.session(capacity=1):
+        report = run_loadtest(spec, rate=args.rate, passes=args.passes, config=config)
     if args.report:
         path = report.write_json(args.report)
         print(f"report: {path}", file=sys.stderr)
@@ -681,36 +637,16 @@ def _cmd_cache(args: argparse.Namespace) -> str:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> str:
-    from repro.sim.chaos import chaos_report_from_trace, run_chaos
+    from repro.sim.chaos import run_chaos
     from repro.sim.executor import CampaignExecutor
 
-    if args.chaos_command == "report":
-        return chaos_report_from_trace(args.file)
-    recovery = not args.no_recovery
-    if args.trace:
-        # Tracing forces a serial, uncached, deterministic-capture run:
-        # cached cells would leave the trace empty, and wall-clock payload
-        # fields would break byte-for-byte trace stability.
-        with obs.session(deterministic=True) as session:
-            result = run_chaos(
-                args.device,
-                args.task,
-                args.controller,
-                args.ratio,
-                rounds=args.rounds,
-                seed=args.seed,
-                preset=args.preset,
-                n_faults=args.faults,
-                recovery=recovery,
-                use_cache=False,
-            )
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
-        executor = CampaignExecutor(
-            workers=_normalize_workers(args.workers),
-            progress=_progress_printer(args.progress),
-        )
+    # Tracing runs serially and uncached: cached cells would leave the
+    # trace empty.
+    executor = CampaignExecutor(
+        workers=1 if args.trace else _normalize_workers(args.workers),
+        progress=_progress_printer(args.progress),
+    )
+    with _recording(args.trace):
         result = run_chaos(
             args.device,
             args.task,
@@ -720,8 +656,9 @@ def _cmd_chaos(args: argparse.Namespace) -> str:
             seed=args.seed,
             preset=args.preset,
             n_faults=args.faults,
-            recovery=recovery,
+            recovery=not args.no_recovery,
             executor=executor,
+            use_cache=not args.trace,
         )
     return result.render()
 
@@ -730,14 +667,11 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     from repro.sim.fleet import (
         FleetSpec,
         compose_fleet,
-        fleet_report_from_trace,
         fleet_summary,
         prepare_fleet,
         render_fleet_summary,
     )
 
-    if args.fleet_command == "report":
-        return fleet_report_from_trace(args.file)
     extra: dict = {}
     if args.controllers:
         extra["controllers"] = tuple(args.controllers.split(","))
@@ -766,28 +700,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         workers=_normalize_workers(args.workers),
         progress=_progress_printer(args.progress),
     )
-    if args.trace and not args.trace.endswith(".jsonl"):
-        # Columnar capture streams chunks to disk at emit time; a tiny
-        # ring keeps session memory O(1) however many events the fleet
-        # emits.
-        from repro.obs.columnar import ColumnarTraceWriter
-
-        with ColumnarTraceWriter(args.trace) as writer:
-            with obs.session(
-                capacity=1, deterministic=True,
-                event_sink=writer.write_event,
-            ) as session:
-                result = compose_fleet(spec, clients, detail=args.detail)
-        print(
-            f"trace: {session.log.emitted} events -> {writer.path}",
-            file=sys.stderr,
-        )
-    elif args.trace:
-        with obs.session(deterministic=True) as session:
-            result = compose_fleet(spec, clients, detail=args.detail)
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
+    with _recording(args.trace):
         result = compose_fleet(spec, clients, detail=args.detail)
     return render_fleet_summary(fleet_summary(spec, result))
 
@@ -846,21 +759,17 @@ def _cmd_servertune(args: argparse.Namespace) -> str:
             f"resuming from {args.state} at generation {state.next_generation}",
             file=sys.stderr,
         )
-    run_kwargs = dict(
-        workers=_normalize_workers(args.workers),
-        progress=_progress_printer(args.progress),
-        state=state,
-    )
     # Trace gathering inside the driver suspends obs (executor events
     # depend on worker count); everything this session captures is the
     # pure composition + PBT decision stream, byte-stable per seed.
-    if args.trace:
-        with obs.session(deterministic=True) as session:
-            result = run_pbt(pbt, fleet, **run_kwargs)
-        trace_path = session.log.dump_jsonl(args.trace)
-        print(f"trace: {session.log.emitted} events -> {trace_path}", file=sys.stderr)
-    else:
-        result = run_pbt(pbt, fleet, **run_kwargs)
+    with _recording(args.trace):
+        result = run_pbt(
+            pbt,
+            fleet,
+            workers=_normalize_workers(args.workers),
+            progress=_progress_printer(args.progress),
+            state=state,
+        )
     if args.state:
         _write_atomically(
             pathlib.Path(args.state),
@@ -875,32 +784,62 @@ def _cmd_servertune(args: argparse.Namespace) -> str:
     return result.render()
 
 
-def _write_atomically(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``.
+@contextlib.contextmanager
+def _replacing(path: pathlib.Path) -> Iterator[pathlib.Path]:
+    """Yield a temp path beside ``path``; it replaces ``path`` when the block returns.
 
     A crash or error mid-write leaves the previous file whole (a resumed
     run reads it), and an error removes the temp file, as the campaign
-    cache does.  The temp file is opened as ``Path.write_text`` opens its
-    target, so the result gets the same bytes and permissions.
+    cache does.  The temp name keeps ``path``'s suffix, which picks a
+    trace's container.
     """
-    import os
-
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
     try:
-        with open(tmp, "w") as handle:
-            handle.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _write_atomically(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`_replacing`.
+
+    The temp file is opened as ``Path.write_text`` opens its target, so
+    the result gets the same bytes and permissions.
+    """
+    with _replacing(path) as tmp, open(tmp, "w") as handle:
+        handle.write(text)
+
+
+@contextlib.contextmanager
+def _recording(path: Optional[str], *, deterministic: bool = True) -> Iterator[None]:
+    """Stream the block's events to the trace ``path`` (a no-op without one).
+
+    Every ``--trace`` records here: a one-event session feeds a
+    :func:`~repro.obs.columnar.trace_writer` at emit time, and the file
+    replaces ``path`` only when the block returns, so a failed run leaves
+    no partial trace.  ``deterministic`` strips wall-clock payload keys.
+    """
+    if not path:
+        yield
+        return
+    from repro.obs.columnar import trace_writer
+
+    target = pathlib.Path(path)
+    with _replacing(target) as tmp, trace_writer(tmp) as writer:
+        with obs.session(
+            capacity=1, deterministic=deterministic, event_sink=writer.write_event
+        ):
+            yield
+    print(f"trace: {writer.written} events -> {target}", file=sys.stderr)
+
+
 def _cmd_trace(args: argparse.Namespace) -> str:
-    # Sniffs the container: legacy JSONL and columnar traces of the same
+    # Streams either container: JSONL and columnar traces of the same
     # event stream render identical views.
-    events = obs.read_trace_events(args.file)
-    return obs.render_view(events, args.view)
+    return obs.render_view(obs.iter_trace_events(args.file), args.view)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:

@@ -22,6 +22,7 @@ T_min on TX2           36.0 s       49.2 s              55.6 s
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -99,3 +100,22 @@ def imdb_lstm() -> FLTaskSpec:
 def paper_tasks() -> tuple[FLTaskSpec, FLTaskSpec, FLTaskSpec]:
     """The three tasks of the paper's evaluation, in presentation order."""
     return (cifar10_vit(), imagenet_resnet50(), imdb_lstm())
+
+
+#: The task registry by short name: the campaign runner, the fleet and
+#: the decision service all resolve task names here.
+_TASKS: dict[str, Callable[[], FLTaskSpec]] = {
+    "vit": cifar10_vit,
+    "resnet50": imagenet_resnet50,
+    "lstm": imdb_lstm,
+}
+
+
+def task_by_name(name: str) -> FLTaskSpec:
+    """The :class:`FLTaskSpec` for a short task name."""
+    try:
+        return _TASKS[name]()
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown task {name!r}; available: {', '.join(sorted(_TASKS))}"
+        ) from None

@@ -3,23 +3,26 @@
 Zero-dependency instrumentation for the controller, guardian, MBO loop,
 ILP solver, campaign harness and FL server:
 
-* :mod:`repro.obs.events` — typed, timestamped events with a JSONL sink
-  and a bounded-memory ring option;
+* :mod:`repro.obs.events` — typed, timestamped events with an emit-time
+  sink and a bounded-memory ring option;
+* :mod:`repro.obs.columnar` — the trace writer (JSONL or columnar) and
+  the reader that streams either;
 * :mod:`repro.obs.metrics` — counters, gauges and histogram timers cheap
   enough to leave on in benchmarks;
 * :mod:`repro.obs.runtime` — the process-global on/off switch (default
   **off**; disabled emits cost one ``None`` check);
-* :mod:`repro.obs.trace` — replay a JSONL trace into the existing
-  Table 3 / Fig. 13 renderers.
+* :mod:`repro.obs.trace` — ``render_view``: every ``repro trace`` view
+  of a recorded trace.
 
 Typical use::
 
     from repro import obs
     from repro.sim import run_campaign
 
-    with obs.session() as session:
-        run_campaign("agx", "vit", "bofl", 2.0, rounds=10, use_cache=False)
-    session.log.dump_jsonl("trace.jsonl")
+    with obs.trace_writer("trace.jsonl") as writer:
+        with obs.session(capacity=1, event_sink=writer.write_event):
+            run_campaign("agx", "vit", "bofl", 2.0, rounds=10, use_cache=False)
+    print(obs.render_view(obs.iter_trace_events("trace.jsonl"), "summary"))
 
 Event kinds and metric names are documented in ``docs/observability.md``.
 """
@@ -33,11 +36,13 @@ if TYPE_CHECKING:
         COLUMNAR_FORMAT,
         COLUMNAR_VERSION,
         ColumnarTraceWriter,
+        JsonlTraceWriter,
         iter_columnar,
         iter_trace_events,
         read_trace_events,
         sniff_format,
-        write_columnar,
+        trace_writer,
+        write_trace,
     )
     from repro.obs.events import (
         TRACE_FORMAT_VERSION,
@@ -84,6 +89,7 @@ __all__ = [
     "Event",
     "EventLog",
     "Histogram",
+    "JsonlTraceWriter",
     "MBORunTrace",
     "Metrics",
     "ObsSession",
@@ -106,15 +112,16 @@ __all__ = [
     "observe",
     "read_jsonl",
     "read_trace_events",
-    "sniff_format",
-    "write_columnar",
     "render_summary",
     "render_view",
     "replay_campaigns",
     "session",
+    "sniff_format",
     "suspended",
     "tab3_payload_from_trace",
     "timer",
+    "trace_writer",
+    "write_trace",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__)

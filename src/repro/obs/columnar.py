@@ -1,25 +1,26 @@
-"""Streaming columnar trace format: chunked column groups, bounded memory.
+"""Trace containers: one streaming writer, JSON Lines or columnar.
 
-Row-per-event JSONL is the wrong shape at fleet scale: a 100k-client
-composition emits millions of events, every one repeating its payload
-keys.  The columnar format bounds memory and repetition at both ends:
-
-* **Writing** (:class:`ColumnarTraceWriter`): events accumulate in an
-  in-memory chunk of at most ``chunk_events``; a full chunk is encoded as
-  *one* JSON line of column vectors and spilled to disk immediately, so
-  writer memory is O(chunk), never O(trace).  Within a chunk, each
-  payload key appears **once**, followed by the rows that carry it —
-  sparse columns for a heterogeneous event stream.
+* **Writing** (:class:`TraceWriter`): the writer opens the file, writes
+  its container's header eagerly, and takes each event at emit time as
+  an :class:`~repro.obs.events.EventLog` ``event_sink``, so writer
+  memory never grows with the trace.  :func:`trace_writer` picks the
+  container from the suffix: ``.jsonl`` is JSON Lines
+  (:class:`JsonlTraceWriter`, one sorted-key object per event), anything
+  else columnar (:class:`ColumnarTraceWriter`).  Row-per-event JSONL is
+  the wrong shape at fleet scale, where millions of events repeat their
+  payload keys: the columnar writer encodes each chunk of at most
+  ``chunk_events`` as *one* JSON line in which each payload key appears
+  **once**, followed by the rows that carry it.
 * **Reading** (:func:`iter_columnar`): chunks decode lazily, one line at
   a time, yielding :class:`~repro.obs.events.Event` objects in emit
   order; reader memory is likewise O(chunk).
 * **Dispatch** (:func:`iter_trace_events`): sniffs the first line and
-  streams either format, so every trace consumer (``repro trace``,
-  ``repro fleet report``) replays legacy JSONL and columnar traces
-  through one code path.
+  streams either format, so every ``repro trace`` view replays JSONL and
+  columnar traces through one code path.
 
-On-disk layout (text, JSON Lines — no new dependencies, diffable, and
-deterministic: the same event stream always produces the same bytes):
+Columnar on-disk layout (text, JSON Lines — no new dependencies,
+diffable, and deterministic: the same event stream always produces the
+same bytes):
 
     {"format": "repro-columnar-trace", "version": 1, "trace_format_version": 1}
     {"chunk": 3, "kinds": ["fleet.enqueue", "fleet.round"], "kind": [0, 0, 1],
@@ -40,7 +41,6 @@ from __future__ import annotations
 import json
 import pathlib
 from collections.abc import Iterable, Iterator
-from types import TracebackType
 from typing import IO, Optional, Union
 
 from repro.errors import ConfigurationError
@@ -57,14 +57,71 @@ COLUMNAR_VERSION = 1
 DEFAULT_CHUNK_EVENTS = 4096
 
 
-class ColumnarTraceWriter:
-    """Stream events to a columnar trace file with bounded memory.
+class TraceWriter:
+    """Stream events to one trace file; subclasses fix the container.
 
-    Usable as a context manager, and directly as an
-    ``event_sink`` for :class:`~repro.obs.events.EventLog` — pass
-    :meth:`write_event`.  The header line is written eagerly on open so
-    even an empty (or crashed) capture is sniffable.
+    A context manager, and an ``event_sink`` for
+    :class:`~repro.obs.events.EventLog` through :meth:`write_event`.  The
+    header line is written and flushed on open, so even an empty (or
+    crashed) capture is sniffable.
     """
+
+    #: The container's first line.
+    header: dict[str, object]
+
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
+        self.path = pathlib.Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle: Optional[IO[str]] = self.path.open("w")
+        self._handle.write(json.dumps(self.header) + "\n")
+        self._handle.flush()
+        #: Total events written (header and chunk framing excluded).
+        self.written = 0
+
+    def _write(self, handle: IO[str], event: Event) -> None:
+        raise NotImplementedError
+
+    def _finish(self, handle: IO[str]) -> None:
+        """Write whatever the container still buffers (nothing by default)."""
+
+    def write_event(self, event: Event) -> None:
+        """Append one event to the trace."""
+        if self._handle is None:
+            raise ConfigurationError(f"trace {self.path} is already closed")
+        self._write(self._handle, event)
+        self.written += 1
+
+    def close(self) -> None:
+        """Flush what is buffered and close the file (idempotent)."""
+        if self._handle is not None:
+            self._finish(self._handle)
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+class JsonlTraceWriter(TraceWriter):
+    """JSON Lines: a version header, then one sorted-key object per event."""
+
+    header = {"kind": "trace.header", "t": 0.0, "format_version": TRACE_FORMAT_VERSION}
+
+    def _write(self, handle: IO[str], event: Event) -> None:
+        handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+
+
+class ColumnarTraceWriter(TraceWriter):
+    """The columnar container: one JSON line of column vectors per chunk."""
+
+    header = {
+        "format": COLUMNAR_FORMAT,
+        "version": COLUMNAR_VERSION,
+        "trace_format_version": TRACE_FORMAT_VERSION,
+    }
 
     def __init__(
         self,
@@ -75,41 +132,18 @@ class ColumnarTraceWriter:
             raise ConfigurationError(
                 f"chunk_events must be >= 1, got {chunk_events}"
             )
-        self.path = pathlib.Path(path)
         self.chunk_events = chunk_events
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: Optional[IO[str]] = self.path.open("w")
-        self._handle.write(
-            json.dumps(
-                {
-                    "format": COLUMNAR_FORMAT,
-                    "version": COLUMNAR_VERSION,
-                    "trace_format_version": TRACE_FORMAT_VERSION,
-                }
-            )
-            + "\n"
-        )
-        #: Flush eagerly: a crashed capture must still sniff as columnar.
-        self._handle.flush()
         self._buffer: list[Event] = []
-        #: Total events written (header and chunk framing excluded).
-        self.written = 0
+        super().__init__(path)
 
-    # -- writing -----------------------------------------------------------
-
-    def write_event(self, event: Event) -> None:
-        """Append one event; spills a chunk line when the buffer fills."""
-        if self._handle is None:
-            raise ConfigurationError(
-                f"columnar trace {self.path} is already closed"
-            )
+    def _write(self, handle: IO[str], event: Event) -> None:
         self._buffer.append(event)
-        self.written += 1
         if len(self._buffer) >= self.chunk_events:
-            self._flush_chunk()
+            self._finish(handle)
 
-    def _flush_chunk(self) -> None:
-        if not self._buffer or self._handle is None:
+    def _finish(self, handle: IO[str]) -> None:
+        """Spill the buffered events as one chunk line."""
+        if not self._buffer:
             return
         kinds: list[str] = []
         kind_index: dict[str, int] = {}
@@ -141,39 +175,23 @@ class ColumnarTraceWriter:
                 for key, (rows, values) in sorted(cols.items())
             },
         }
-        self._handle.write(json.dumps(chunk, sort_keys=True) + "\n")
+        handle.write(json.dumps(chunk, sort_keys=True) + "\n")
         self._buffer = []
 
-    def close(self) -> None:
-        """Flush the partial chunk and close the file (idempotent)."""
-        if self._handle is None:
-            return
-        self._flush_chunk()
-        self._handle.close()
-        self._handle = None
 
-    def __enter__(self) -> "ColumnarTraceWriter":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
+def trace_writer(path: Union[str, pathlib.Path]) -> TraceWriter:
+    """Open a writer for ``path``: ``.jsonl`` is JSON Lines, anything else columnar."""
+    if pathlib.Path(path).suffix == ".jsonl":
+        return JsonlTraceWriter(path)
+    return ColumnarTraceWriter(path)
 
 
-def write_columnar(
-    path: Union[str, pathlib.Path],
-    events: Iterable[Event],
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-) -> pathlib.Path:
-    """Write ``events`` to ``path`` in the columnar format."""
-    with ColumnarTraceWriter(path, chunk_events=chunk_events) as writer:
+def write_trace(path: Union[str, pathlib.Path], events: Iterable[Event]) -> pathlib.Path:
+    """Write ``events`` to ``path`` in the container its suffix names."""
+    with trace_writer(path) as writer:
         for event in events:
             writer.write_event(event)
-    return pathlib.Path(path)
+    return writer.path
 
 
 # -- reading ----------------------------------------------------------------
@@ -297,8 +315,8 @@ def sniff_format(path: Union[str, pathlib.Path]) -> str:
 def iter_trace_events(path: Union[str, pathlib.Path]) -> Iterator[Event]:
     """Stream a trace in either format (sniffed from the first line).
 
-    The one entry point every trace consumer should use: legacy JSONL
-    and columnar traces of the same event stream yield identical
+    The one entry point every trace consumer should use: JSONL and
+    columnar traces of the same event stream yield identical
     :class:`Event` sequences, with memory bounded by one line / one
     chunk rather than the file size.
     """

@@ -4,8 +4,11 @@ An :class:`Event` is one thing a subsystem did — a guardian decision, an
 MBO refit, a phase transition — stamped with the *simulated* clock (or a
 caller-chosen time base) and carrying a flat JSON-safe payload.  The
 :class:`EventLog` collects them in memory (optionally as a bounded ring)
-and serializes to JSON Lines, one event per line, so traces can be
-archived, diffed, and replayed through the analysis renderers.
+and hands each one to an optional ``event_sink`` as it is emitted; a
+:class:`repro.obs.columnar.TraceWriter` is that sink when a trace is
+recorded, so traces can be archived, diffed, and replayed through the
+analysis renderers.  :func:`iter_jsonl` reads the JSON Lines container
+back.
 
 Event kinds follow a ``layer.verb`` naming scheme; the authoritative list
 lives in ``docs/observability.md``.
@@ -18,7 +21,7 @@ import pathlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator
-from typing import IO, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 
@@ -94,11 +97,6 @@ EVENT_KINDS = frozenset(
 WALL_CLOCK_PAYLOAD_KEYS = frozenset({"seconds", "wall_seconds"})
 
 
-def is_registered_kind(kind: str) -> bool:
-    """Whether ``kind`` is part of the documented event schema."""
-    return kind in EVENT_KINDS
-
-
 @dataclass(frozen=True)
 class Event:
     """One timestamped observation of subsystem behaviour.
@@ -141,13 +139,11 @@ class EventLog:
         When set, keep only the most recent ``capacity`` events (a ring
         buffer) so always-on instrumentation stays bounded in memory.
         ``None`` keeps everything.
-    sink:
-        An optional open text stream; every event is additionally written
-        to it as one JSON line at emit time (streaming trace capture).
     event_sink:
         An optional callable receiving every :class:`Event` at emit time
-        (after deterministic stripping) — the hook structured writers
-        like :class:`repro.obs.columnar.ColumnarTraceWriter` attach to.
+        (after deterministic stripping) — the hook a
+        :class:`repro.obs.columnar.TraceWriter` attaches to, so a trace
+        streams to disk as it is emitted.
     deterministic:
         When True, strip :data:`WALL_CLOCK_PAYLOAD_KEYS` from every
         payload at emit time so the captured trace is a pure function of
@@ -157,14 +153,12 @@ class EventLog:
     def __init__(
         self,
         capacity: Optional[int] = None,
-        sink: Optional[IO[str]] = None,
         deterministic: bool = False,
         event_sink: Optional[Callable[["Event"], None]] = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.sink = sink
         self.event_sink = event_sink
         self.deterministic = deterministic
         self._events: deque[Event] = deque(maxlen=capacity)
@@ -183,8 +177,6 @@ class EventLog:
         event = Event(kind=kind, t=float(t), payload=payload)
         self._events.append(event)
         self.emitted += 1
-        if self.sink is not None:
-            self.sink.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         if self.event_sink is not None:
             self.event_sink(event)
         return event
@@ -210,33 +202,14 @@ class EventLog:
     def clear(self) -> None:
         self._events.clear()
 
-    # -- JSONL -------------------------------------------------------------
-
-    def dump_jsonl(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the retained events to ``path`` as JSON Lines.
-
-        The first line is a header record carrying the trace format
-        version; :func:`read_jsonl` validates it.
-        """
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            handle.write(
-                json.dumps({"kind": "trace.header", "t": 0.0,
-                            "format_version": TRACE_FORMAT_VERSION}) + "\n"
-            )
-            for event in self._events:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        return path
-
 
 def iter_jsonl(path: Union[str, pathlib.Path]) -> Iterator[Event]:
-    """Stream a JSONL trace written by :meth:`EventLog.dump_jsonl`, line by line.
+    """Stream a JSONL trace, line by line.
 
     Raises :class:`ConfigurationError` on unreadable files, malformed
     lines, or an unsupported format version.  A missing header is
-    tolerated (streaming sinks don't write one) as long as every line
-    parses as an event.  Memory is bounded by one line, not the file.
+    tolerated as long as every line parses as an event.  Memory is
+    bounded by one line, not the file.
     """
     path = pathlib.Path(path)
     try:

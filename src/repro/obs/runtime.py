@@ -11,9 +11,11 @@ explicitly::
 
     with obs.session() as session:
         run_campaign(...)
-    session.log.dump_jsonl("trace.jsonl")
+    obs.write_trace("trace.jsonl", session.log)
 
-or for a whole process with :func:`enable` / :func:`disable`.
+or for a whole process with :func:`enable` / :func:`disable`.  With
+``capacity=1`` and a trace writer's ``write_event`` as ``event_sink``, a
+session streams its trace to disk instead (every CLI ``--trace``).
 
 Worker processes spawned by the parallel executor inherit the *default*
 (disabled) state: traces are a serial-path feature, and parallel results

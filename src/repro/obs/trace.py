@@ -1,4 +1,4 @@
-"""Trace replay: turn a JSONL event stream back into paper artifacts.
+"""Trace replay: turn a recorded event stream back into reports.
 
 A trace recorded around :func:`repro.sim.runner.run_campaign` contains
 everything Table 3 and Fig. 13 are made of — per-round exploration lists,
@@ -11,7 +11,7 @@ suite cross-checks these derivations against the drivers' own outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 import numpy as np
@@ -277,22 +277,43 @@ def render_summary(events: Sequence[Event]) -> str:
     return "\n".join(lines)
 
 
-def render_view(events: Sequence[Event], view: str) -> str:
-    """Render one of the supported trace views (``summary``/``tab3``/``fig13``)."""
+#: Every view :func:`render_view` renders.
+TRACE_VIEWS = ("summary", "tab3", "fig13", "fleet", "chaos", "service")
+
+
+def render_view(events: Iterable[Event], view: str) -> str:
+    """Render one ``repro trace`` view of an event stream.
+
+    The layer that emits the fleet, chaos or service events renders their
+    view, reading the stream as it comes; the campaign views hold it.
+    """
+    if view == "fleet":
+        from repro.sim.fleet import render_fleet_trace
+
+        return render_fleet_trace(events)
+    if view == "chaos":
+        from repro.sim.chaos import render_chaos_trace
+
+        return render_chaos_trace(events)
+    if view == "service":
+        from repro.service.loadgen import render_service_trace
+
+        return render_service_trace(events)
+    if view not in TRACE_VIEWS:
+        raise ConfigurationError(
+            f"unknown trace view {view!r}; available: {', '.join(TRACE_VIEWS)}"
+        )
+    materialized = list(events)
     if view == "summary":
-        return render_summary(events)
-    traces = replay_campaigns(events)
+        return render_summary(materialized)
+    traces = replay_campaigns(materialized)
     if view == "tab3":
         from repro.experiments.tab3_walkthrough import render as render_tab3
 
         return render_tab3(tab3_payload_from_trace(traces))
-    if view == "fig13":
-        from repro.experiments.fig13_overhead import render as render_fig13
+    from repro.experiments.fig13_overhead import render as render_fig13
 
-        return render_fig13(fig13_payload_from_trace(traces))
-    raise ConfigurationError(
-        f"unknown trace view {view!r}; available: summary, tab3, fig13"
-    )
+    return render_fig13(fig13_payload_from_trace(traces))
 
 
 def derive_overhead_fractions(

@@ -42,7 +42,6 @@ if TYPE_CHECKING:
         fleet_requests,
         quantile,
         run_loadtest,
-        service_report_from_trace,
     )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "quantile",
     "request_key_hash",
     "run_loadtest",
-    "service_report_from_trace",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__)

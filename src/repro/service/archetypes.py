@@ -29,28 +29,9 @@ import numpy as np
 from repro.bayesopt.pareto import pareto_mask
 from repro.core.exploitation import ExploitationPlanner
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.federated.task import FLTaskSpec, cifar10_vit, imagenet_resnet50, imdb_lstm
+from repro.federated.task import task_by_name
 from repro.hardware.devices import get_device
 from repro.types import DvfsConfiguration, Schedule, ScheduleEntry, Seconds
-
-#: Task registry by short name (the campaign runner's, duplicated here to
-#: avoid importing the whole sim layer into the service).
-_TASKS = {
-    "vit": cifar10_vit,
-    "resnet50": imagenet_resnet50,
-    "lstm": imdb_lstm,
-}
-
-
-def task_by_name(name: str) -> FLTaskSpec:
-    """The :class:`FLTaskSpec` for a short task name."""
-    try:
-        return _TASKS[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown task {name!r}; available: {', '.join(sorted(_TASKS))}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class ArchetypeProfile:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import pathlib
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -375,36 +376,40 @@ def run_loadtest(
     )
 
 
-def service_report_from_trace(path: Union[str, pathlib.Path]) -> str:
-    """Recompute a loadtest summary from a recorded observability trace.
+def render_service_trace(events: Iterable[Event]) -> str:
+    """The ``repro trace --view service`` report over a recorded event stream.
 
     The ``service.decision`` events carry each decision's simulated
     latency and provenance, so the percentiles and ratios rendered here
-    are exactly reproducible from the trace alone, JSONL or columnar —
-    the same replay discipline as ``repro chaos report`` /
-    ``repro fleet report``.
+    are exactly reproducible from a trace written by ``repro loadtest
+    --trace`` or ``repro serve --trace``.  One pass over the stream,
+    keeping only the decisions' latencies.
     """
-    from repro.obs.columnar import read_trace_events
-
-    events = read_trace_events(path)
-    decisions = [e for e in events if e.kind == "service.decision"]
-    if not decisions:
+    latencies: list[float] = []
+    sources: dict[str, int] = {}
+    coalesced = degraded = evaluations = 0
+    makespan = float("-inf")
+    passes: list[Event] = []
+    for event in events:
+        if event.kind == "service.decision":
+            latencies.append(_payload_number(event, "latency"))
+            source = str(event.payload.get("source", "?"))
+            sources[source] = sources.get(source, 0) + 1
+            coalesced += bool(event.payload.get("coalesced"))
+            degraded += bool(event.payload.get("degraded"))
+            makespan = max(makespan, event.t)
+        elif event.kind == "service.evaluate":
+            evaluations += 1
+        elif event.kind == "loadgen.pass":
+            passes.append(event)
+    if not latencies:
         raise ConfigurationError(
-            f"{path} contains no service.decision events; was it recorded "
+            "this trace contains no service.decision events; was it recorded "
             "by `repro loadtest --trace`?"
         )
-    latencies = [float(_payload_number(e, "latency")) for e in decisions]
-    sources: dict[str, int] = {}
-    for event in decisions:
-        source = str(event.payload.get("source", "?"))
-        sources[source] = sources.get(source, 0) + 1
-    coalesced = sum(1 for e in decisions if e.payload.get("coalesced"))
-    degraded = sum(1 for e in decisions if e.payload.get("degraded"))
-    evaluations = sum(1 for e in events if e.kind == "service.evaluate")
-    makespan = max(e.t for e in decisions)
     lines = [
         "Service trace summary",
-        f"  decisions        : {len(decisions)} over {makespan:.3f} s simulated",
+        f"  decisions        : {len(latencies)} over {makespan:.3f} s simulated",
         f"  decision latency : p50 {quantile(latencies, 0.5) * 1e3:.3f} ms"
         f"  p99 {quantile(latencies, 0.99) * 1e3:.3f} ms",
         "  sources          : "
@@ -413,12 +418,11 @@ def service_report_from_trace(path: Union[str, pathlib.Path]) -> str:
         f"  degraded         : {degraded}",
         f"  evaluations      : {evaluations}",
     ]
-    passes = [e for e in events if e.kind == "loadgen.pass"]
     for event in passes:
         lines.append(
             f"  pass {event.payload.get('index')}           : "
-            f"p99 {float(_payload_number(event, 'p99')) * 1e3:.3f} ms  "
-            f"hit rate {float(_payload_number(event, 'cache_hit_rate')):.1%}"
+            f"p99 {_payload_number(event, 'p99') * 1e3:.3f} ms  "
+            f"hit rate {_payload_number(event, 'cache_hit_rate'):.1%}"
         )
     return "\n".join(lines)
 

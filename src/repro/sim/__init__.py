@@ -18,7 +18,6 @@ if TYPE_CHECKING:
     from repro.faults.choices import CHAOS_PRESETS
     from repro.sim.chaos import (
         ChaosRunResult,
-        chaos_report_from_trace,
         preset_schedule,
         run_chaos,
     )
@@ -83,7 +82,6 @@ __all__ = [
     "prepare_fleet",
     "render_fleet_summary",
     "run_fleet",
-    "chaos_report_from_trace",
     "clear_campaign_cache",
     "default_cache_dir",
     "expand_grid",

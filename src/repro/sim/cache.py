@@ -170,6 +170,9 @@ class PersistentCampaignCache:
         self.misses = 0
         self.writes = 0
         self.evictions = 0
+        #: Operations counted while the directory did not exist yet; the
+        #: first sidecar write adds them in.
+        self._unsaved = dict.fromkeys(_STAT_FIELDS, 0)
 
     # -- paths ---------------------------------------------------------------
 
@@ -204,14 +207,17 @@ class PersistentCampaignCache:
         The sidecar is rewritten atomically on *every* operation — not on
         shutdown — so ``repro cache stats`` stays accurate after an
         interrupted campaign.  A directory that does not exist yet (pure
-        misses before the first write) is left untouched; the first
-        ``put`` creates it and persistence starts there.
+        misses before the first write) is left untouched: the counts wait
+        in memory, and the first ``put`` creates the directory and writes
+        them with its own.
         """
         setattr(self, field, getattr(self, field) + amount)
+        self._unsaved[field] += amount
         if not self.directory.is_dir():
             return
         totals = self._read_sidecar()
-        totals[field] += amount
+        for name, unsaved in self._unsaved.items():
+            totals[name] += unsaved
         payload = {"schema": STATS_SCHEMA_VERSION, **totals}
         try:
             fd, tmp_name = tempfile.mkstemp(
@@ -220,6 +226,7 @@ class PersistentCampaignCache:
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
             os.replace(tmp_name, self._sidecar_path)
+            self._unsaved = dict.fromkeys(_STAT_FIELDS, 0)
         except OSError:
             # Stats persistence is best-effort; never fail the cache op.
             try:

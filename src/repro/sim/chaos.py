@@ -11,14 +11,15 @@ Everything flows through :class:`~repro.sim.executor.CampaignSpec`, so
 chaos campaigns inherit the stack's guarantees for free: serial and
 parallel execution are identical, results cache under keys that include
 the schedule and policy, and obs traces are byte-reproducible for a fixed
-seed.  ``repro chaos run|report`` is the CLI front end.
+seed.  ``repro chaos run`` is the CLI front end, and ``repro trace --view
+chaos`` replays its trace through :func:`render_chaos_trace`.
 """
 
 from __future__ import annotations
 
-import pathlib
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.tables import ascii_table, render_kv
 from repro.core.records import CampaignResult
@@ -179,8 +180,8 @@ _TRACE_KINDS = (
 )
 
 
-def render_chaos_trace(events: list[Event]) -> str:
-    """The ``repro chaos report`` view over a recorded JSONL trace.
+def render_chaos_trace(events: Iterable[Event]) -> str:
+    """The ``repro trace --view chaos`` report over a recorded event stream.
 
     Summarizes the fault/recovery activity of a trace written by
     ``repro chaos run --trace``: per-kind counts plus a chronological
@@ -222,7 +223,7 @@ def render_chaos_trace(events: list[Event]) -> str:
                 ]
             )
     if all(count == 0 for count in counts.values()):
-        return (
+        raise ConfigurationError(
             "no fault or recovery events in this trace "
             "(was it recorded with `repro chaos run --trace`?)"
         )
@@ -241,9 +242,3 @@ def render_chaos_trace(events: list[Event]) -> str:
         )
     return "\n".join(lines)
 
-
-def chaos_report_from_trace(path: Union[str, pathlib.Path]) -> str:
-    """Load a trace (JSONL or columnar) and render the chaos report."""
-    from repro.obs.columnar import read_trace_events
-
-    return render_chaos_trace(read_trace_events(path))

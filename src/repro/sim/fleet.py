@@ -40,10 +40,10 @@ service's request stream, which reads its clients from
 from __future__ import annotations
 
 import math
-import pathlib
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.federated.choices import FLEET_MODES
@@ -55,6 +55,7 @@ if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule, FaultSpec
     from repro.federated.async_engine import FleetClient, FleetResult
     from repro.federated.selection import ClientSelector
+    from repro.obs.events import Event
     from repro.servertune.controllers import ServerTuneSpec
     from repro.sim.cache import PersistentCampaignCache
     from repro.sim.executor import ProgressCallback
@@ -117,11 +118,14 @@ class FleetSpec:
     edges: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Counts are whole numbers (integral floats normalize to int; bools,
-        # NaN, inf and fractions raise), the optional ones only when set.
+        # Counts and seeds are whole numbers (integral floats normalize to
+        # int; bools, NaN, inf and fractions raise), the optional ones only
+        # when set.  A seed is >= 0, the rule every campaign seed follows.
         for name, minimum, optional in (
             ("n_clients", 1, False),
             ("rounds", 1, False),
+            ("seed", 0, False),
+            ("chaos_seed", 0, False),
             ("archetypes", 1, True),
             ("participants", 1, True),
             ("buffer_size", 1, False),
@@ -296,11 +300,11 @@ def _warm_objective_tensors(specs: list[CampaignSpec]) -> None:
     built exactly once in the parent process (forked workers inherit the
     cache) instead of lazily inside every campaign.
     """
+    from repro.federated.task import task_by_name
     from repro.hardware.devices import get_device
-    from repro.sim.runner import _task_by_name
 
     for device_name, task_name in sorted({(s.device, s.task) for s in specs}):
-        task = _task_by_name(task_name)
+        task = task_by_name(task_name)
         task.workload.performance_model(get_device(device_name)).objective_tensor()
 
 
@@ -451,25 +455,20 @@ def render_fleet_summary(summary: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def fleet_report_from_trace(path: Union[str, pathlib.Path]) -> str:
-    """Summarize the ``fleet.*``/``hierarchy.*`` activity of a recorded trace.
+def render_fleet_trace(events: Iterable[Event]) -> str:
+    """The ``repro trace --view fleet`` report over a recorded event stream.
 
     The replay half of ``repro fleet run --trace``: event counts by kind,
     the run's configuration from ``fleet.start``, and the closing
-    scorecard from ``fleet.end``.  Streams the trace — JSONL or columnar
-    (:func:`repro.obs.columnar.iter_trace_events`) — keeping memory
-    bounded by one chunk, not the file: a 100k-client trace carries
-    millions of enqueue events and must never be materialized whole.
+    scorecard from ``fleet.end``.  Counts as it streams: a 100k-client
+    trace carries millions of enqueue events and is never held whole.
     """
     from collections import Counter
-
-    from repro.obs.columnar import iter_trace_events
-    from repro.obs.events import Event
 
     counts: Counter[str] = Counter()
     start: Optional[Event] = None
     end: Optional[Event] = None
-    for event in iter_trace_events(path):
+    for event in events:
         if event.layer not in ("fleet", "hierarchy"):
             continue
         counts[event.kind] += 1
@@ -478,8 +477,8 @@ def fleet_report_from_trace(path: Union[str, pathlib.Path]) -> str:
         elif event.kind == "fleet.end":
             end = event
     if not counts:
-        raise ConfigurationError(f"no fleet events found in {path}")
-    lines = [f"Fleet trace: {path}", ""]
+        raise ConfigurationError("no fleet events found in this trace")
+    lines = ["Fleet trace", ""]
     for kind in sorted(counts):
         lines.append(f"  {kind:22s} {counts[kind]}")
     if start is not None:
@@ -499,4 +498,3 @@ def fleet_report_from_trace(path: Union[str, pathlib.Path]) -> str:
             if key in end.payload:
                 lines.append(f"  {key:18s} : {end.payload[key]}")
     return "\n".join(lines)
-

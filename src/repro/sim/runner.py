@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -29,7 +28,7 @@ from repro.servertune.controllers import (
     make_server_controller,
     normalize_servertune,
 )
-from repro.federated.task import FLTaskSpec, cifar10_vit, imagenet_resnet50, imdb_lstm
+from repro.federated.task import task_by_name
 from repro.hardware.device import SimulatedDevice
 from repro.hardware.devices import get_device
 from repro.hardware.thermal import ThermalModel
@@ -121,13 +120,6 @@ class CampaignSpec:
             servertune=self.servertune,
         )
 
-
-#: Task registry by short name.
-_TASKS: dict[str, Callable[[], FLTaskSpec]] = {
-    "vit": cifar10_vit,
-    "resnet50": imagenet_resnet50,
-    "lstm": imdb_lstm,
-}
 
 #: The per-process memo.  Values are private copies: lookups return a
 #: defensive deepcopy so callers can mutate their result (``_annotate``
@@ -241,15 +233,6 @@ def make_controller(
     )
 
 
-def _task_by_name(name: str) -> FLTaskSpec:
-    try:
-        return _TASKS[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown task {name!r}; available: {', '.join(sorted(_TASKS))}"
-        ) from None
-
-
 def run_campaign(
     device_name: str,
     task_name: str,
@@ -297,7 +280,7 @@ def run_campaign(
             return cached
 
     spec = get_device(device_name)
-    task = _task_by_name(task_name)
+    task = task_by_name(task_name)
     # Device noise is paired across controllers: seed depends on the
     # scenario, not the controller.  (zlib.crc32 is stable across processes,
     # unlike the builtin string hash.)

@@ -5,12 +5,7 @@ import pytest
 from repro.analysis.io import campaign_from_dict, campaign_to_dict
 from repro.faults import FaultSchedule, FaultSpec, RecoveryPolicy
 from repro.faults.recovery import NO_RECOVERY
-from repro.sim.chaos import (
-    CHAOS_PRESETS,
-    chaos_report_from_trace,
-    preset_schedule,
-    run_chaos,
-)
+from repro.sim.chaos import CHAOS_PRESETS, preset_schedule, run_chaos
 from repro.sim.runner import CampaignSpec, run_campaign
 from repro.errors import ConfigurationError
 
@@ -92,15 +87,16 @@ class TestSerialization:
 
 class TestChaosOrchestration:
     def test_report_reads_a_columnar_copy_of_the_trace(self, tmp_path):
-        from repro.obs import runtime as obs
-        from repro.obs.columnar import write_columnar
-        from repro.obs.events import read_jsonl
+        from repro import obs
+
+        def chaos_view(path):
+            return obs.render_view(obs.iter_trace_events(path), "chaos")
 
         with obs.session(deterministic=True) as session:
             run_chaos("agx", "vit", "performant", 2.0, rounds=6, seed=0)
-        jsonl = session.log.dump_jsonl(tmp_path / "chaos.jsonl")
-        columnar = write_columnar(tmp_path / "chaos.col", read_jsonl(jsonl))
-        assert chaos_report_from_trace(columnar) == chaos_report_from_trace(jsonl)
+        jsonl = obs.write_trace(tmp_path / "chaos.jsonl", session.log)
+        columnar = obs.write_trace(tmp_path / "chaos.col", obs.read_jsonl(jsonl))
+        assert chaos_view(columnar) == chaos_view(jsonl)
 
     def test_preset_schedules_are_seeded(self):
         for preset in CHAOS_PRESETS:

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.io import campaign_to_dict
 from repro.faults import FaultSchedule, FaultSpec
 from repro.obs import runtime as obs
+from repro.obs.columnar import write_trace
 from repro.sim.chaos import preset_schedule
 from repro.sim.executor import CampaignExecutor, CampaignSpec
 from repro.sim.runner import run_campaign
@@ -81,6 +82,6 @@ class TestDeterministicTraces:
                     fault_schedule=storm(), use_cache=False,
                 )
             path = tmp_path / f"trace_{attempt}.jsonl"
-            session.log.dump_jsonl(path)
+            write_trace(path, session.log)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -14,6 +14,7 @@ import pathlib
 
 from repro.experiments import ext_fleet
 from repro.obs import runtime as obs
+from repro.obs.columnar import write_trace
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -34,7 +35,7 @@ def produce_artifacts(trace_path):
     """
     with obs.session(deterministic=True) as session:
         payload = ext_fleet.run(rounds=ROUNDS, deadline_ratio=DEADLINE_RATIO, seed=SEED)
-    session.log.dump_jsonl(trace_path)
+    write_trace(trace_path, session.log)
     return ext_fleet.render(payload) + "\n"
 
 

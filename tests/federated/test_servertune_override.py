@@ -17,6 +17,7 @@ from repro.federated.server import FederatedServer
 from repro.federated.task import FLTaskSpec
 from repro.hardware import SimulatedDevice
 from repro.obs import runtime as obs
+from repro.obs.columnar import write_trace
 from repro.obs.events import read_jsonl
 from repro.servertune.controllers import (
     FedGPOController,
@@ -131,7 +132,7 @@ class TestOverrideTrace:
         server = make_server(tightened_controller(step=0.2))
         with obs.session(deterministic=True) as session:
             record = server.run_round(0, total_rounds=ROUNDS)
-        path = session.log.dump_jsonl(tmp_path / "server.jsonl")
+        path = write_trace(tmp_path / "server.jsonl", session.log)
         overrides = [
             e for e in read_jsonl(path) if e.kind == "servertune.override"
         ]
@@ -148,7 +149,7 @@ class TestOverrideTrace:
         server = make_server(StaticKnobs(ServerTuneSpec()))
         with obs.session(deterministic=True) as session:
             server.run_round(0, total_rounds=ROUNDS)
-        path = session.log.dump_jsonl(tmp_path / "static.jsonl")
+        path = write_trace(tmp_path / "static.jsonl", session.log)
         kinds = {e.kind for e in read_jsonl(path)}
         assert "servertune.override" not in kinds
 
@@ -164,7 +165,7 @@ class TestOverrideTrace:
                 "agx", "vit", "performant", 2.0,
                 rounds=4, seed=0, use_cache=False, servertune=spec,
             )
-        path = session.log.dump_jsonl(tmp_path / "campaign.jsonl")
+        path = write_trace(tmp_path / "campaign.jsonl", session.log)
         overrides = [
             e for e in read_jsonl(path) if e.kind == "servertune.override"
         ]

@@ -10,11 +10,13 @@ from repro.obs.columnar import (
     COLUMNAR_FORMAT,
     COLUMNAR_VERSION,
     ColumnarTraceWriter,
+    JsonlTraceWriter,
     iter_columnar,
     iter_trace_events,
     read_trace_events,
     sniff_format,
-    write_columnar,
+    trace_writer,
+    write_trace,
 )
 from repro.obs.events import TRACE_FORMAT_VERSION, Event
 from repro.obs.trace import render_view
@@ -40,36 +42,42 @@ def dump_events(events):
     return [json.dumps(e.to_dict(), sort_keys=True) for e in events]
 
 
+def write_chunked(path, events, chunk_events):
+    """A columnar trace of ``events`` in chunks of ``chunk_events``."""
+    with ColumnarTraceWriter(path, chunk_events=chunk_events) as writer:
+        for event in events:
+            writer.write_event(event)
+    return path
+
+
 class TestRoundTrip:
     def test_events_survive_byte_exact(self, tmp_path):
         events = make_events(100)
-        path = write_columnar(tmp_path / "trace.col", events, chunk_events=16)
+        path = write_chunked(tmp_path / "trace.col", events, chunk_events=16)
         assert dump_events(iter_columnar(path)) == dump_events(events)
 
     @pytest.mark.parametrize("chunk_events", [1, 7, 100, 4096])
     def test_chunk_boundaries_are_invisible(self, tmp_path, chunk_events):
         events = make_events(100)
-        path = write_columnar(
-            tmp_path / "trace.col", events, chunk_events=chunk_events
-        )
+        path = write_chunked(tmp_path / "trace.col", events, chunk_events)
         assert dump_events(iter_columnar(path)) == dump_events(events)
 
     def test_empty_trace(self, tmp_path):
-        path = write_columnar(tmp_path / "empty.col", [])
+        path = write_trace(tmp_path / "empty.col", [])
         assert read_trace_events(path) == []
         assert sniff_format(path) == "columnar"
 
     def test_writes_are_deterministic(self, tmp_path):
         events = make_events(50)
-        a = write_columnar(tmp_path / "a.col", events, chunk_events=8)
-        b = write_columnar(tmp_path / "b.col", events, chunk_events=8)
+        a = write_chunked(tmp_path / "a.col", events, chunk_events=8)
+        b = write_chunked(tmp_path / "b.col", events, chunk_events=8)
         assert a.read_bytes() == b.read_bytes()
 
     def test_columnar_is_smaller_than_jsonl(self, tmp_path):
         events = make_events(2000)
         jsonl = tmp_path / "trace.jsonl"
         jsonl.write_text("".join(line + "\n" for line in dump_events(events)))
-        columnar = write_columnar(tmp_path / "trace.col", events)
+        columnar = write_trace(tmp_path / "trace.col", events)
         assert columnar.stat().st_size < jsonl.stat().st_size
 
 
@@ -87,6 +95,30 @@ class TestWriter:
             "version": COLUMNAR_VERSION,
             "trace_format_version": TRACE_FORMAT_VERSION,
         }
+
+    def test_jsonl_header_is_written_eagerly(self, tmp_path):
+        writer = JsonlTraceWriter(tmp_path / "crash.jsonl")
+        try:
+            first = (tmp_path / "crash.jsonl").read_text().splitlines()[0]
+        finally:
+            writer.close()
+        assert first == (
+            '{"kind": "trace.header", "t": 0.0, '
+            f'"format_version": {TRACE_FORMAT_VERSION}}}'
+        )
+
+    @pytest.mark.parametrize(
+        ("name", "container"),
+        [("t.jsonl", "jsonl"), ("t.col", "columnar"), ("trace", "columnar")],
+    )
+    def test_suffix_picks_the_container(self, tmp_path, name, container):
+        events = make_events(5)
+        with trace_writer(tmp_path / name) as writer:
+            for event in events:
+                writer.write_event(event)
+        assert writer.written == 5
+        assert sniff_format(tmp_path / name) == container
+        assert dump_events(read_trace_events(tmp_path / name)) == dump_events(events)
 
     def test_write_after_close_raises(self, tmp_path):
         writer = ColumnarTraceWriter(tmp_path / "t.col")
@@ -143,7 +175,7 @@ class TestFormatDispatch:
         events = make_events(60)
         jsonl = tmp_path / "t.jsonl"
         jsonl.write_text("".join(line + "\n" for line in dump_events(events)))
-        columnar = write_columnar(tmp_path / "t.col", events, chunk_events=16)
+        columnar = write_chunked(tmp_path / "t.col", events, chunk_events=16)
         assert dump_events(iter_trace_events(jsonl)) == dump_events(
             iter_trace_events(columnar)
         )
@@ -164,11 +196,9 @@ class TestFormatDispatch:
         clients = prepare_fleet(spec)
         with obs.session(deterministic=True) as session:
             compose_fleet(spec, clients)
-        jsonl = session.log.dump_jsonl(tmp_path / "t.jsonl")
-        columnar = write_columnar(
-            tmp_path / "t.col", list(session.log), chunk_events=32
-        )
-        for view in ("summary",):
+        jsonl = write_trace(tmp_path / "t.jsonl", session.log)
+        columnar = write_chunked(tmp_path / "t.col", session.log, chunk_events=32)
+        for view in ("summary", "fleet"):
             assert render_view(
                 read_trace_events(jsonl), view
             ) == render_view(read_trace_events(columnar), view)

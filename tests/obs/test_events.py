@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.columnar import JsonlTraceWriter, write_trace
 from repro.obs.events import (
     TRACE_FORMAT_VERSION,
     Event,
@@ -67,13 +68,14 @@ class TestEventLog:
 
     def test_sink_streams_json_lines(self, tmp_path):
         path = tmp_path / "stream.jsonl"
-        with path.open("w") as sink:
-            log = EventLog(sink=sink)
+        with JsonlTraceWriter(path) as writer:
+            log = EventLog(capacity=1, event_sink=writer.write_event)
             log.emit("a.one", t=1.5, x=1)
             log.emit("b.two")
         lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0]) == {"kind": "a.one", "t": 1.5, "x": 1}
+        assert len(lines) == 3  # the header, then one line per event
+        assert json.loads(lines[1]) == {"kind": "a.one", "t": 1.5, "x": 1}
+        assert len(log) == 1 and log.emitted == 2
 
     def test_clear_drops_retained_events(self):
         log = EventLog()
@@ -88,14 +90,14 @@ class TestJsonlRoundTrip:
         log = EventLog()
         log.emit("campaign.start", t=0.0, device="agx", seed=3)
         log.emit("controller.round", t=10.0, round=0, energy=1.25)
-        path = log.dump_jsonl(tmp_path / "trace.jsonl")
+        path = write_trace(tmp_path / "trace.jsonl", log)
         events = read_jsonl(path)
         assert [e.kind for e in events] == ["campaign.start", "controller.round"]
         assert events[1].payload == {"round": 0, "energy": 1.25}
         assert events[1].t == 10.0
 
     def test_dump_writes_a_version_header(self, tmp_path):
-        path = EventLog().dump_jsonl(tmp_path / "empty.jsonl")
+        path = write_trace(tmp_path / "empty.jsonl", EventLog())
         header = json.loads(path.read_text().splitlines()[0])
         assert header["kind"] == "trace.header"
         assert header["format_version"] == TRACE_FORMAT_VERSION

@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import fig13_overhead, tab3_walkthrough
 from repro.obs import runtime as obs
+from repro.obs.columnar import write_trace
 from repro.obs.events import Event, read_jsonl
 from repro.obs.trace import (
     derive_overhead_fractions,
@@ -37,7 +38,7 @@ def traced_events(tmp_path_factory):
         result = run_campaign(
             "agx", "vit", "bofl", 2.0, rounds=ROUNDS, seed=SEED, use_cache=False
         )
-    path = session.log.dump_jsonl(tmp_path_factory.mktemp("trace") / "campaign.jsonl")
+    path = write_trace(tmp_path_factory.mktemp("trace") / "campaign.jsonl", session.log)
     return read_jsonl(path), result
 
 

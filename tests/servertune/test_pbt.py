@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as obs
+from repro.obs.columnar import write_trace
 from repro.servertune.controllers import ServerTuneSpec
 from repro.servertune.pbt import (
     PBT_CONTROLLERS,
@@ -206,10 +207,10 @@ class TestRunPBT:
     def test_serial_and_sharded_runs_are_byte_identical(self, tmp_path):
         with obs.session(deterministic=True) as session:
             serial = run_pbt(SMALL_PBT, SMALL_FLEET)
-        serial_trace = session.log.dump_jsonl(tmp_path / "serial.jsonl")
+        serial_trace = write_trace(tmp_path / "serial.jsonl", session.log)
         with obs.session(deterministic=True) as session:
             sharded = run_pbt(SMALL_PBT, SMALL_FLEET, workers=4)
-        sharded_trace = session.log.dump_jsonl(tmp_path / "sharded.jsonl")
+        sharded_trace = write_trace(tmp_path / "sharded.jsonl", session.log)
         assert serial_trace.read_bytes() == sharded_trace.read_bytes()
         assert serial.to_dict() == sharded.to_dict()
         assert serial.population == sharded.population

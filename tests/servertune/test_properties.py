@@ -140,6 +140,7 @@ class TestStaticIsANoOp:
     def test_static_spec_reproduces_pre_subsystem_records(self, tmp_path):
         """Same records, and the byte-identical deterministic trace."""
         from repro.obs import runtime as obs
+        from repro.obs.columnar import write_trace
         from repro.sim import clear_campaign_cache
         from repro.sim.runner import run_campaign
 
@@ -149,14 +150,14 @@ class TestStaticIsANoOp:
                 "agx", "vit", "performant", 2.0,
                 rounds=3, seed=0, use_cache=False,
             )
-        bare_trace = session.log.dump_jsonl(tmp_path / "bare.jsonl")
+        bare_trace = write_trace(tmp_path / "bare.jsonl", session.log)
         with obs.session(deterministic=True) as session:
             static = run_campaign(
                 "agx", "vit", "performant", 2.0,
                 rounds=3, seed=0, use_cache=False,
                 servertune=ServerTuneSpec(),
             )
-        static_trace = session.log.dump_jsonl(tmp_path / "static.jsonl")
+        static_trace = write_trace(tmp_path / "static.jsonl", session.log)
         assert static.records == bare.records
         assert static.total_energy == bare.total_energy
         assert static_trace.read_bytes() == bare_trace.read_bytes()

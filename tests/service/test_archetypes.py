@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.bayesopt.pareto import pareto_mask
+from repro.federated import task as fl_task
 from repro.hardware.devices import get_device
-from repro.service import archetypes
 from repro.service.archetypes import ArchetypeProfile, task_by_name
 
 PAIRS = [(d, t) for d in ("agx", "tx2") for t in ("vit", "resnet50", "lstm")]
@@ -81,7 +81,7 @@ def test_dominated_x_max_is_appended_last(monkeypatch, device):
             device, dataclasses.replace(target, serial_fraction=0.0)
         ),
     )
-    monkeypatch.setitem(archetypes._TASKS, "flat-vit", lambda: flat)
+    monkeypatch.setitem(fl_task._TASKS, "flat-vit", lambda: flat)
     spec = get_device(device)
     tensor = flat.workload.performance_model(spec).objective_tensor()
     mask = pareto_mask(np.stack([tensor.latencies, tensor.energies], axis=1))

@@ -6,15 +6,8 @@ import math
 import pytest
 
 from repro import obs
-from repro.obs.columnar import write_columnar
-from repro.obs.events import read_jsonl
 from repro.errors import ConfigurationError
-from repro.service import (
-    fleet_requests,
-    quantile,
-    run_loadtest,
-    service_report_from_trace,
-)
+from repro.service import fleet_requests, quantile, run_loadtest
 from repro.sim.fleet import FleetSpec
 from tests.service.reference_loadgen import reference_fleet_requests
 
@@ -153,12 +146,16 @@ class TestRunLoadtest:
             run_loadtest(SPEC, passes=0)
 
 
+def service_view(path):
+    return obs.render_view(obs.iter_trace_events(path), "service")
+
+
 class TestTraceReplay:
     def test_summary_recomputes_from_the_trace_alone(self, tmp_path):
         with obs.session(deterministic=True) as session:
             report = run_loadtest(SPEC, rate=200.0, passes=2)
-        path = session.log.dump_jsonl(tmp_path / "service.jsonl")
-        rendered = service_report_from_trace(path)
+        path = obs.write_trace(tmp_path / "service.jsonl", session.log)
+        rendered = service_view(path)
         assert f"decisions        : {report.requests}" in rendered
         assert f"p50 {report.p50 * 1e3:.3f} ms" in rendered
         assert f"p99 {report.p99 * 1e3:.3f} ms" in rendered
@@ -166,13 +163,13 @@ class TestTraceReplay:
     def test_columnar_copy_renders_the_same(self, tmp_path):
         with obs.session(deterministic=True) as session:
             run_loadtest(SPEC, rate=200.0, passes=2)
-        jsonl = session.log.dump_jsonl(tmp_path / "service.jsonl")
-        columnar = write_columnar(tmp_path / "service.col", read_jsonl(jsonl))
-        assert service_report_from_trace(columnar) == service_report_from_trace(jsonl)
+        jsonl = obs.write_trace(tmp_path / "service.jsonl", session.log)
+        columnar = obs.write_trace(tmp_path / "service.col", obs.read_jsonl(jsonl))
+        assert service_view(columnar) == service_view(jsonl)
 
     def test_serviceless_trace_fails_cleanly(self, tmp_path):
         with obs.session(deterministic=True) as session:
             obs.emit("campaign.start", t=0.0)
-        path = session.log.dump_jsonl(tmp_path / "empty.jsonl")
-        with pytest.raises(ConfigurationError):
-            service_report_from_trace(path)
+        path = obs.write_trace(tmp_path / "empty.jsonl", session.log)
+        with pytest.raises(ConfigurationError, match="no service.decision"):
+            service_view(path)

@@ -7,6 +7,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import runtime as obs
+from repro.obs.columnar import iter_trace_events, write_trace
+from repro.obs.trace import render_view
 from repro.sim import clear_campaign_cache
 from repro.sim.fleet import (
     FLEET_SELECTORS,
@@ -15,7 +17,6 @@ from repro.sim.fleet import (
     campaign_spec_for,
     client_slot,
     compose_fleet,
-    fleet_report_from_trace,
     fleet_summary,
     prepare_fleet,
     render_fleet_summary,
@@ -75,14 +76,22 @@ class TestFleetSpecValidation:
     @pytest.mark.parametrize(
         "field",
         ["n_clients", "rounds", "archetypes", "participants", "buffer_size",
-         "max_staleness", "edges"],
+         "max_staleness", "edges", "seed", "chaos_seed"],
     )
     def test_whole_number_fields(self, field, bad):
         """``buffer_size=2.5`` used to compose; ``max_staleness=nan`` never
-        dropped a report."""
+        dropped a report; ``seed=1.5`` built a population."""
         with pytest.raises(ConfigurationError, match=f"{field} must be a whole"):
             FleetSpec(**{field: bad})
         assert type(getattr(FleetSpec(**{field: 4.0}), field)) is int
+
+    @pytest.mark.parametrize("field", ["seed", "chaos_seed"])
+    def test_seeds_are_non_negative(self, field):
+        """Every campaign seed is >= 0, so a fleet seed is too; the error
+        names the fleet's field, not a derived campaign seed."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be a whole number >= 0"):
+            FleetSpec(**{field: -1})
+        assert getattr(FleetSpec(**{field: 0}), field) == 0
 
     def test_effective_participants_caps_at_fleet_size(self):
         assert FleetSpec(n_clients=10).effective_participants() == 10
@@ -296,8 +305,8 @@ class TestFleetReportFromTrace:
         clients = prepare_fleet(spec, workers=1, use_cache=False)
         with obs.session(deterministic=True) as session:
             compose_fleet(spec, clients)
-        trace = session.log.dump_jsonl(tmp_path / "fleet.jsonl")
-        report = fleet_report_from_trace(trace)
+        trace = write_trace(tmp_path / "fleet.jsonl", session.log)
+        report = render_view(iter_trace_events(trace), "fleet")
         assert "fleet.start" in report
         assert "fleet.round" in report
         assert "mode=sync" in report
@@ -306,6 +315,6 @@ class TestFleetReportFromTrace:
     def test_rejects_traces_without_fleet_events(self, tmp_path):
         with obs.session(deterministic=True) as session:
             obs.emit("campaign.start", device="agx")
-        trace = session.log.dump_jsonl(tmp_path / "other.jsonl")
+        trace = write_trace(tmp_path / "other.jsonl", session.log)
         with pytest.raises(ConfigurationError, match="no fleet events"):
-            fleet_report_from_trace(trace)
+            render_view(iter_trace_events(trace), "fleet")

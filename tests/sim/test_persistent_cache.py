@@ -225,6 +225,27 @@ class TestIncrementalStatsPersistence:
         assert stats.total_writes == 1
         assert stats.total_hits == 2
 
+    def test_cold_session_misses_reach_the_sidecar(self, cache):
+        """Misses before the directory exists wait for the first write."""
+        cache.get(_key(seed=0))
+        cache.get(_key(seed=1))
+        assert not cache.directory.exists()  # a pure miss creates nothing
+        cache.put(_key(seed=0), _result(seed=0))
+        stats = PersistentCampaignCache(cache.directory).stats()
+        assert (stats.total_misses, stats.total_writes) == (2, 1)
+
+    def test_cold_then_warm_executor_runs_count_every_lookup(self, cache):
+        """A cold executor run looks every spec up before it stores any, so
+        all of its misses happen while the directory does not exist."""
+        from repro.sim.executor import CampaignExecutor
+
+        specs = [_key(seed=0), _key(seed=1)]
+        CampaignExecutor(workers=1, cache=cache).run(specs)
+        clear_campaign_cache()
+        CampaignExecutor(workers=1, cache=PersistentCampaignCache(cache.directory)).run(specs)
+        stats = PersistentCampaignCache(cache.directory).stats()
+        assert (stats.total_misses, stats.total_writes, stats.total_hits) == (2, 2, 2)
+
     def test_evictions_are_persisted(self, tmp_path):
         cache = PersistentCampaignCache(tmp_path / "campaigns", max_entries=1)
         cache.put(_key(seed=0), _result(seed=0))

@@ -207,8 +207,11 @@ class TestFleetCommand:
             build_parser().parse_args(["fleet", "run", "--mode", "firehose"])
 
     def test_report_requires_a_file(self):
+        # The fleet report is a `repro trace` view; `fleet` has no `report`.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "report"])
+            build_parser().parse_args(["trace", "--view", "fleet"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet", "report", "fleet.jsonl"])
 
     def test_run_prints_the_scorecard(self, capsys):
         assert main(["fleet", "run", *self.FAST]) == 0
@@ -220,8 +223,9 @@ class TestFleetCommand:
         trace = tmp_path / "fleet.jsonl"
         assert main(["fleet", "run", *self.FAST, "--trace", str(trace)]) == 0
         capsys.readouterr()
-        assert main(["fleet", "report", str(trace)]) == 0
+        assert main(["trace", str(trace), "--view", "fleet"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("Fleet trace\n")
         assert "fleet.start" in out
         assert "mode=sync" in out
 
@@ -263,6 +267,15 @@ class TestFleetCommand:
         )
         assert prepared == []
 
+    def test_run_rejects_a_negative_seed_before_preparing(self, monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(
+            "repro.sim.fleet.prepare_fleet", lambda spec, **kw: prepared.append(spec)
+        )
+        assert main(["fleet", "run", *self.FAST, "--seed", "-1"]) == 1
+        assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+        assert prepared == []
+
     def test_report_on_fleetless_trace_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "perf.jsonl"
         assert main(
@@ -270,7 +283,7 @@ class TestFleetCommand:
              "--task", "lstm", "--trace", str(path)]
         ) == 0
         capsys.readouterr()
-        assert main(["fleet", "report", str(path)]) == 1
+        assert main(["trace", str(path), "--view", "fleet"]) == 1
         assert "no fleet events" in capsys.readouterr().err
 
 
@@ -313,14 +326,16 @@ class TestServiceCommands:
         capsys.readouterr()
         assert logs[0] == logs[1]
 
-    def test_loadtest_trace_replays_through_from_trace(self, tmp_path, capsys):
+    def test_loadtest_trace_replays_through_the_service_view(self, tmp_path, capsys):
         trace = tmp_path / "service.jsonl"
         assert main(
             ["loadtest", "--clients", "12", "--rounds", "2", "--seed", "7",
              "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
-        assert main(["loadtest", "--from-trace", str(trace)]) == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["loadtest", "--from-trace", str(trace)])
+        assert main(["trace", str(trace), "--view", "service"]) == 0
         out = capsys.readouterr().out
         assert "Service trace summary" in out
         assert "decisions        : 48" in out
@@ -385,6 +400,10 @@ class TestServiceCommands:
         captured = capsys.readouterr()
         assert f"rate must be a finite positive number, got {float(rate)}" in captured.err
         assert captured.out == ""
+
+    def test_loadtest_rejects_a_negative_seed(self, capsys):
+        assert main(["loadtest", "--clients", "6", "--rounds", "1", "--seed", "-1"]) == 1
+        assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
 
     def test_loadtest_rejects_a_nan_rate(self, capsys):
         assert main(["loadtest", "--clients", "6", "--rounds", "1", "--rate", "nan"]) == 1
