@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.types import from_mapping, require_flag, require_whole
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,11 @@ class RecoveryPolicy:
     escalation_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0:
-            raise ConfigurationError(
-                f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}"
-            )
-        if self.escalation_rounds < 1:
-            raise ConfigurationError(
-                f"escalation_rounds must be >= 1, got {self.escalation_rounds}"
-            )
+        set_field = object.__setattr__  # the policy is frozen
+        for name, minimum in (("checkpoint_interval", 0), ("escalation_rounds", 1)):
+            set_field(self, name, require_whole(name, getattr(self, name), minimum=minimum))
+        require_flag("restore_on_corruption", self.restore_on_corruption)
+        require_flag("escalate_on_anomaly", self.escalate_on_anomaly)
 
     @property
     def checkpoints_enabled(self) -> bool:
@@ -62,12 +59,7 @@ class RecoveryPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "RecoveryPolicy":
-        return cls(
-            checkpoint_interval=int(payload.get("checkpoint_interval", 1)),  # type: ignore[call-overload]
-            restore_on_corruption=bool(payload.get("restore_on_corruption", True)),
-            escalate_on_anomaly=bool(payload.get("escalate_on_anomaly", True)),
-            escalation_rounds=int(payload.get("escalation_rounds", 2)),  # type: ignore[call-overload]
-        )
+        return from_mapping(cls, payload)
 
 
 #: The defenseless policy: no checkpoints, no restores, no escalation.

@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.choices import CHAOS_PRESETS as CHAOS_PRESETS  # re-export
 from repro.faults.choices import FAULT_KINDS
+from repro.types import from_mapping, require_items, require_positive, require_whole
 
 #: Kinds that corrupt the controller's measurement pipeline (the
 #: restore-on-corruption recovery policy keys on these).
@@ -74,18 +75,14 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; available: "
                 f"{', '.join(FAULT_KINDS)}"
             )
-        if self.start_round < 0:
-            raise ConfigurationError(
-                f"start_round must be >= 0, got {self.start_round}"
-            )
+        set_field = object.__setattr__  # the spec is frozen
+        set_field(self, "start_round", require_whole("start_round", self.start_round))
+        set_field(self, "rounds", require_whole("rounds", self.rounds))
         if self.rounds < 1:
             raise ConfigurationError(
                 f"a fault must span at least one round, got {self.rounds}"
             )
-        if not (isinstance(self.magnitude, (int, float)) and self.magnitude > 0):
-            raise ConfigurationError(
-                f"magnitude must be a positive number, got {self.magnitude!r}"
-            )
+        set_field(self, "magnitude", require_positive("magnitude", self.magnitude))
         if self.kind in ("sensor_outage", "transport_stall") and self.magnitude >= 1.0:
             raise ConfigurationError(
                 f"{self.kind} magnitude is a fraction in (0, 1), "
@@ -115,17 +112,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "FaultSpec":
-        try:
-            return cls(
-                kind=str(payload["kind"]),
-                start_round=int(payload["start_round"]),  # type: ignore[call-overload]
-                rounds=int(payload["rounds"]),  # type: ignore[call-overload]
-                magnitude=float(payload["magnitude"]),  # type: ignore[arg-type]
-            )
-        except KeyError as error:
-            raise ConfigurationError(
-                f"fault spec payload missing field {error}"
-            ) from error
+        return from_mapping(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -142,14 +129,9 @@ class FaultSchedule:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.faults, tuple):
-            # Tolerate lists at construction; store the hashable form.
-            object.__setattr__(self, "faults", tuple(self.faults))
-        for fault in self.faults:
-            if not isinstance(fault, FaultSpec):
-                raise ConfigurationError(
-                    f"faults must be FaultSpec instances, got {fault!r}"
-                )
+        # Lists are tolerated at construction; the stored form is hashable.
+        object.__setattr__(self, "faults", require_items("faults", self.faults, FaultSpec))
+        object.__setattr__(self, "seed", require_whole("seed", self.seed))
 
     def __len__(self) -> int:
         return len(self.faults)
@@ -187,15 +169,11 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "FaultSchedule":
-        faults_raw = payload.get("faults")
-        if not isinstance(faults_raw, list):
+        if not isinstance(payload, dict) or "faults" not in payload:
             raise ConfigurationError(
                 f"fault schedule payload needs a 'faults' list, got {payload!r}"
             )
-        return cls(
-            faults=tuple(FaultSpec.from_dict(f) for f in faults_raw),
-            seed=int(payload.get("seed", 0)),  # type: ignore[call-overload]
-        )
+        return from_mapping(cls, payload, faults=FaultSpec.from_dict)
 
     @classmethod
     def generate(

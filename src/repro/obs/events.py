@@ -24,6 +24,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.types import require_number, require_text
 
 #: Bump when the serialized event layout changes; readers reject newer
 #: traces instead of misinterpreting them.
@@ -124,10 +125,16 @@ class Event:
 
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> "Event":
-        if not isinstance(raw, dict) or "kind" not in raw:
+        """Rebuild a recorded event, checking ``kind`` and ``t`` (the
+        emitter's hot path builds events unchecked)."""
+        if not isinstance(raw, dict):
             raise ConfigurationError(f"not an event record: {raw!r}")
         payload = {k: v for k, v in raw.items() if k not in ("kind", "t")}
-        return cls(kind=str(raw["kind"]), t=float(raw.get("t", 0.0)), payload=payload)
+        return cls(
+            kind=require_text("kind", raw.get("kind")),
+            t=require_number("t", raw.get("t", cls.t)),
+            payload=payload,
+        )
 
 
 class EventLog:
@@ -244,16 +251,17 @@ def read_jsonl(path: Union[str, pathlib.Path]) -> list[Event]:
     return list(iter_jsonl(path))
 
 
-def events_between(
+def iter_between(
     events: Iterable[Event], start_kind: str, end_kind: str
-) -> list[list[Event]]:
-    """Split a flat event stream into ``[start, ..., end]`` segments.
+) -> Iterator[list[Event]]:
+    """Stream a flat event stream's ``[start, ..., end]`` segments.
 
     Used to group per-campaign events out of a trace that may contain
-    several campaigns back to back.  Events outside any bracket are
-    dropped; an unterminated bracket yields its partial segment.
+    several campaigns back to back, holding one segment at a time.  Events
+    outside any bracket are dropped, a start inside an open bracket drops
+    the open segment, and an unterminated bracket yields its partial
+    segment.
     """
-    segments: list[list[Event]] = []
     current: Optional[list[Event]] = None
     for event in events:
         if event.kind == start_kind:
@@ -263,8 +271,14 @@ def events_between(
             continue
         current.append(event)
         if event.kind == end_kind:
-            segments.append(current)
+            yield current
             current = None
     if current is not None:
-        segments.append(current)
-    return segments
+        yield current
+
+
+def events_between(
+    events: Iterable[Event], start_kind: str, end_kind: str
+) -> list[list[Event]]:
+    """Materialize :func:`iter_between`."""
+    return list(iter_between(events, start_kind, end_kind))

@@ -10,8 +10,9 @@ suite cross-checks these derivations against the drivers' own outputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from repro.analysis.charts import sparkline
 from repro.analysis.tables import ascii_table
 from repro.errors import ConfigurationError
-from repro.obs.events import Event, events_between
+from repro.obs.events import Event, iter_between
 
 #: Config triples travel through JSON as lists; compare as tuples.
 ConfigKey = tuple[float, float, float]
@@ -94,15 +95,16 @@ class CampaignTrace:
         return sum(1 for config in round_trace.explored if config in front)
 
 
-def replay_campaigns(events: Sequence[Event]) -> list[CampaignTrace]:
-    """Group a flat event stream into per-campaign traces.
+def replay_campaigns(events: Iterable[Event]) -> list[CampaignTrace]:
+    """Group a flat event stream into per-campaign traces, in one pass.
 
     Campaigns are delimited by ``campaign.start`` / ``campaign.end``
     brackets; events outside any bracket (e.g. executor cell timings) are
-    ignored here and only surface in :func:`render_summary`.
+    ignored here and only surface in :func:`render_summary`.  Only the
+    open campaign's events are held, never the whole stream.
     """
     traces: list[CampaignTrace] = []
-    for segment in events_between(events, "campaign.start", "campaign.end"):
+    for segment in iter_between(events, "campaign.start", "campaign.end"):
         start = segment[0].payload
         trace = CampaignTrace(
             device=str(start.get("device", "?")),
@@ -227,20 +229,27 @@ def fig13_payload_from_trace(traces: Sequence[CampaignTrace]) -> dict[str, objec
 # -- summary ----------------------------------------------------------------
 
 
-def render_summary(events: Sequence[Event]) -> str:
-    """A human-oriented overview of a trace: kinds, campaigns, activity."""
-    if not events:
+def render_summary(events: Iterable[Event]) -> str:
+    """A human-oriented overview of a trace: kinds, campaigns, activity.
+
+    One pass: event kinds are counted as the campaign brackets replay.
+    """
+    counts: Counter[str] = Counter()
+
+    def counted() -> Iterator[Event]:
+        for event in events:
+            counts[event.kind] += 1
+            yield event
+
+    traces = replay_campaigns(counted())
+    if not counts:
         return "(empty trace)"
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
     kind_table = ascii_table(
         ["kind", "events"],
         [(kind, counts[kind]) for kind in sorted(counts)],
         title="Event counts",
     )
     lines = [kind_table]
-    traces = replay_campaigns(events)
     if traces:
         rows = []
         for trace in traces:
@@ -282,10 +291,11 @@ TRACE_VIEWS = ("summary", "tab3", "fig13", "fleet", "chaos", "service")
 
 
 def render_view(events: Iterable[Event], view: str) -> str:
-    """Render one ``repro trace`` view of an event stream.
+    """Render one ``repro trace`` view of an event stream, in one pass.
 
     The layer that emits the fleet, chaos or service events renders their
-    view, reading the stream as it comes; the campaign views hold it.
+    view; the summary and campaign views replay the campaign brackets.
+    Every view reads the stream as it comes and never holds all of it.
     """
     if view == "fleet":
         from repro.sim.fleet import render_fleet_trace
@@ -303,10 +313,9 @@ def render_view(events: Iterable[Event], view: str) -> str:
         raise ConfigurationError(
             f"unknown trace view {view!r}; available: {', '.join(TRACE_VIEWS)}"
         )
-    materialized = list(events)
     if view == "summary":
-        return render_summary(materialized)
-    traces = replay_campaigns(materialized)
+        return render_summary(events)
+    traces = replay_campaigns(events)
     if view == "tab3":
         from repro.experiments.tab3_walkthrough import render as render_tab3
 

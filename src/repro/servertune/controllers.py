@@ -43,13 +43,12 @@ pre-subsystem campaigns.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.types import require_positive, require_whole
+from repro.types import from_mapping, require_number, require_positive, require_whole
 
 #: Controller names :func:`make_server_controller` accepts.
 SERVERTUNE_CONTROLLERS: tuple[str, ...] = ("static", "fedgpo", "fedtune")
@@ -133,6 +132,14 @@ class RoundFeedback:
         return self.energy / max(self.buffered, 1)
 
 
+#: The real-valued :class:`ServerTuneSpec` fields (finite numbers, never bools).
+_SPEC_NUMBERS = (
+    "deadline_step", "participation_step", "straggler_upper", "straggler_lower",
+    "smoothing", "alpha_time", "alpha_energy",
+    "min_deadline_scale", "max_deadline_scale", "min_participation",
+)
+
+
 @dataclass(frozen=True)
 class ServerTuneSpec:
     """Declarative configuration of one server controller.
@@ -172,6 +179,8 @@ class ServerTuneSpec:
                 f"unknown server controller {self.controller!r}; available: "
                 f"{', '.join(SERVERTUNE_CONTROLLERS)}"
             )
+        for name in _SPEC_NUMBERS:
+            object.__setattr__(self, name, require_number(name, getattr(self, name)))
         for name, value in (
             ("deadline_step", self.deadline_step),
             ("participation_step", self.participation_step),
@@ -195,10 +204,6 @@ class ServerTuneSpec:
             raise ConfigurationError(
                 "deadline-scale bounds must satisfy 0 < min <= 1 <= max, got "
                 f"min={self.min_deadline_scale} max={self.max_deadline_scale}"
-            )
-        if not math.isfinite(self.max_deadline_scale):
-            raise ConfigurationError(
-                f"max_deadline_scale must be finite, got {self.max_deadline_scale}"
             )
         if not 0.0 < self.min_participation <= 1.0:
             raise ConfigurationError(
@@ -237,28 +242,17 @@ class ServerTuneSpec:
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> "ServerTuneSpec":
         """Rebuild a spec from :meth:`to_dict` output (PBT resume files)."""
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"not a servertune spec: {raw!r}")
-        payload = {k: v for k, v in raw.items() if k != "kind"}
-        try:
-            return cls(**payload)  # type: ignore[arg-type]
-        except TypeError as error:
-            raise ConfigurationError(
-                f"malformed servertune spec {raw!r}: {error}"
-            ) from error
+        return from_mapping(cls, raw, skip=("kind",))
 
 
 def check_preference_weights(alpha_time: float, alpha_energy: float) -> None:
     """Reject preference weights that cannot score a round.
 
-    NaN passes every ordered comparison as False, so finiteness is checked
-    first: a NaN or infinite weight would make every score NaN or inf.
+    Each weight must be a finite number >= 0 (a NaN or infinite weight
+    would make every score NaN or inf), and they must not both be 0.
     """
     for name, value in (("alpha_time", alpha_time), ("alpha_energy", alpha_energy)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    if alpha_time < 0 or alpha_energy < 0:
-        raise ConfigurationError("preference weights must be >= 0")
+        require_number(name, value, lambda v: v >= 0, "be finite and >= 0")
     if alpha_time + alpha_energy <= 0:
         raise ConfigurationError("preference weights must not both be 0")
 

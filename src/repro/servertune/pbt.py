@@ -48,7 +48,14 @@ from repro.servertune.controllers import (
 from repro.sim.cache import PersistentCampaignCache
 from repro.sim.executor import ProgressCallback
 from repro.sim.fleet import FleetSpec, compose_fleet, prepare_fleet
-from repro.types import require_whole
+from repro.types import (
+    from_mapping,
+    require_fraction,
+    require_items,
+    require_number,
+    require_positive,
+    require_whole,
+)
 
 #: The searched hyperparameters and the bounds mutation clamps into.
 #: Ranges keep every sampled/perturbed spec valid by construction
@@ -90,20 +97,17 @@ class PBTSpec:
     patience: int = 3
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ConfigurationError(
-                f"population must be >= 2, got {self.population}"
-            )
-        if self.generations < 1:
-            raise ConfigurationError(
-                f"generations must be >= 1, got {self.generations}"
-            )
-        if not 0.0 < self.exploit_fraction < 1.0:
-            raise ConfigurationError(
-                f"exploit_fraction must lie in (0, 1), got {self.exploit_fraction}"
-            )
-        if not self.explore_factors or any(f <= 0 for f in self.explore_factors):
-            raise ConfigurationError("explore_factors must be positive and non-empty")
+        set_field = object.__setattr__  # the spec is frozen
+        for name, minimum in (("population", 2), ("generations", 1), ("seed", 0)):
+            set_field(self, name, require_whole(name, getattr(self, name), minimum=minimum))
+        set_field(self, "exploit_fraction", require_fraction(
+            "exploit_fraction", self.exploit_fraction, inclusive=False
+        ))
+        if not self.explore_factors:
+            raise ConfigurationError("explore_factors must be non-empty")
+        set_field(self, "explore_factors", tuple(
+            require_positive("explore_factors", f) for f in self.explore_factors
+        ))
         if not self.controllers:
             raise ConfigurationError("controllers must be non-empty")
         for name in self.controllers:
@@ -150,6 +154,21 @@ class MemberRecord:
     makespan: float
     spec: ServerTuneSpec
 
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__  # the record is frozen
+        for name in ("generation", "member"):  # -1 marks the static baseline
+            set_field(self, name, require_whole(name, getattr(self, name), minimum=-1))
+        if self.controller not in SERVERTUNE_CONTROLLERS:
+            raise ConfigurationError(f"unknown member controller {self.controller!r}")
+        for name in ("score", "energy_per_aggregation", "mean_latency", "total_energy", "makespan"):
+            value = getattr(self, name)
+            if not (name == "score" and value == math.inf):  # no aggregation scores +inf
+                value = require_number(name, value, lambda v: v >= 0, "be finite and >= 0")
+            set_field(self, name, value)
+        set_field(self, "aggregations", require_whole("aggregations", self.aggregations))
+        if not isinstance(self.spec, ServerTuneSpec):
+            raise ConfigurationError(f"spec must be a ServerTuneSpec, got {self.spec!r}")
+
     def to_dict(self) -> dict[str, object]:
         return {
             "generation": self.generation,
@@ -166,23 +185,7 @@ class MemberRecord:
 
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> "MemberRecord":
-        try:
-            return cls(
-                generation=int(raw["generation"]),  # type: ignore[arg-type]
-                member=int(raw["member"]),  # type: ignore[arg-type]
-                controller=str(raw["controller"]),
-                score=float(raw["score"]),  # type: ignore[arg-type]
-                energy_per_aggregation=float(raw["energy_per_aggregation"]),  # type: ignore[arg-type]
-                mean_latency=float(raw["mean_latency"]),  # type: ignore[arg-type]
-                aggregations=int(raw["aggregations"]),  # type: ignore[arg-type]
-                total_energy=float(raw["total_energy"]),  # type: ignore[arg-type]
-                makespan=float(raw["makespan"]),  # type: ignore[arg-type]
-                spec=ServerTuneSpec.from_dict(raw["spec"]),  # type: ignore[arg-type]
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"malformed member record {raw!r}: {error}"
-            ) from error
+        return from_mapping(cls, raw, spec=ServerTuneSpec.from_dict)
 
 
 @dataclass
@@ -192,6 +195,11 @@ class PBTState:
     next_generation: int = 0
     members: list[ServerTuneSpec] = field(default_factory=list)
     history: list[MemberRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.next_generation = require_whole("next_generation", self.next_generation)
+        self.members = list(require_items("members", self.members, ServerTuneSpec))
+        self.history = list(require_items("history", self.history, MemberRecord))
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -204,17 +212,10 @@ class PBTState:
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> "PBTState":
         if not isinstance(raw, dict) or raw.get("kind") != "pbt_state":
-            raise ConfigurationError(f"not a PBT state payload: {raw!r}")
-        members = raw.get("members", [])
-        history = raw.get("history", [])
-        if not isinstance(members, list) or not isinstance(history, list):
-            raise ConfigurationError(f"malformed PBT state payload: {raw!r}")
-        return cls(
-            next_generation=require_whole(
-                "next_generation", raw.get("next_generation", 0)
-            ),
-            members=[ServerTuneSpec.from_dict(m) for m in members],
-            history=[MemberRecord.from_dict(r) for r in history],
+            raise ConfigurationError(f"not a PBT state payload (kind 'pbt_state'): {raw!r}")
+        return from_mapping(
+            cls, raw, skip=("kind",),
+            members=ServerTuneSpec.from_dict, history=MemberRecord.from_dict,
         )
 
 

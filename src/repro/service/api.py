@@ -20,13 +20,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.types import Joules, Schedule, Seconds, require_whole
+from repro.types import (
+    Joules,
+    Schedule,
+    Seconds,
+    from_mapping,
+    require_items,
+    require_number,
+    require_positive,
+    require_text,
+    require_whole,
+)
 
 #: Bump whenever the request token layout or the serialized plan format
 #: changes; older decision-cache entries then read as misses.
@@ -55,19 +64,17 @@ class DecisionRequest:
     client_id: str = ""  # key_exempt: routing metadata — logged, never keyed
 
     def __post_init__(self) -> None:
-        if not self.device:
-            raise ConfigurationError("request device must be non-empty")
-        if not self.task:
-            raise ConfigurationError("request task must be non-empty")
-        object.__setattr__(self, "jobs", require_whole("jobs", self.jobs, minimum=1))
-        if not (math.isfinite(self.deadline) and self.deadline > 0):
-            raise ConfigurationError(
-                f"request deadline must be positive and finite, got {self.deadline}"
-            )
-        if not 0.0 <= self.safety_margin < 1.0:
-            raise ConfigurationError(
-                f"safety_margin must lie in [0, 1), got {self.safety_margin}"
-            )
+        set_field = object.__setattr__  # the request is frozen
+        require_text("device", self.device)
+        require_text("task", self.task)
+        set_field(self, "jobs", require_whole("jobs", self.jobs, minimum=1))
+        set_field(self, "deadline", require_number(
+            "deadline", self.deadline, lambda d: d > 0, "be positive and finite"
+        ))
+        set_field(self, "safety_margin", require_number(
+            "safety_margin", self.safety_margin, lambda m: 0.0 <= m < 1.0, "lie in [0, 1)"
+        ))
+        require_text("client_id", self.client_id, empty=True)
 
     def for_client(self, client_id: str) -> DecisionRequest:
         """This question, asked by ``client_id``.
@@ -121,21 +128,7 @@ class DecisionRequest:
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "DecisionRequest":
         """Build a request from a JSON object (``repro serve`` wire format)."""
-        try:
-            return cls(
-                device=str(raw["device"]),
-                task=str(raw["task"]),
-                jobs=raw["jobs"],  # type: ignore[arg-type]
-                deadline=float(raw["deadline"]),  # type: ignore[arg-type]
-                safety_margin=float(raw.get("safety_margin", 0.02)),  # type: ignore[arg-type]
-                client_id=str(raw.get("client_id", "")),
-            )
-        except KeyError as error:
-            raise ConfigurationError(
-                f"decision request is missing field {error.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(f"malformed decision request: {error}") from None
+        return from_mapping(cls, raw)
 
 
 def request_key_hash(request: DecisionRequest) -> str:
@@ -155,8 +148,19 @@ class PlanStep:
     frequencies: tuple[float, ...]
     jobs: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.frequencies, (list, tuple)):
+            raise ConfigurationError(f"frequencies must be a list, got {self.frequencies!r}")
+        frequencies = tuple(require_positive("frequencies", f) for f in self.frequencies)
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "jobs", require_whole("jobs", self.jobs, minimum=1))
+
     def to_dict(self) -> dict[str, object]:
         return {"frequencies": list(self.frequencies), "jobs": self.jobs}
+
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, object]) -> "PlanStep":
+        return from_mapping(cls, raw)
 
 
 @dataclass(frozen=True)
@@ -178,28 +182,35 @@ class DecisionPlan:
     schema: int = DECISION_SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        set_field = object.__setattr__  # the plan is frozen
+        require_text("request_hash", self.request_hash)
+        set_field(self, "steps", require_items("steps", self.steps, PlanStep))
+        for name in ("expected_latency", "expected_energy"):
+            value = require_number(name, getattr(self, name), lambda v: v >= 0, "be finite and >= 0")
+            set_field(self, name, value)
         if self.source not in PLAN_SOURCES:
             raise ConfigurationError(
                 f"unknown plan source {self.source!r}; "
                 f"available: {', '.join(PLAN_SOURCES)}"
             )
+        set_field(self, "schema", require_whole("schema", self.schema, minimum=1))
 
     @property
     def total_jobs(self) -> int:
         return sum(step.jobs for step in self.steps)
 
     def with_source(self, source: str) -> "DecisionPlan":
-        """The same plan relabelled with a different provenance."""
+        """The same plan relabelled with a different provenance.
+
+        ``source`` is one of :data:`PLAN_SOURCES`; every other field is
+        this plan's, already validated, so the copy skips the checks (and
+        the frozen ``__setattr__``).
+        """
         if source == self.source:
             return self
-        return DecisionPlan(
-            request_hash=self.request_hash,
-            steps=self.steps,
-            expected_latency=self.expected_latency,
-            expected_energy=self.expected_energy,
-            source=source,
-            schema=self.schema,
-        )
+        plan = object.__new__(type(self))
+        plan.__dict__.update(vars(self), source=source)
+        return plan
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -213,24 +224,7 @@ class DecisionPlan:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "DecisionPlan":
-        try:
-            steps = tuple(
-                PlanStep(
-                    frequencies=tuple(float(f) for f in step["frequencies"]),  # type: ignore[index]
-                    jobs=int(step["jobs"]),  # type: ignore[index]
-                )
-                for step in raw["steps"]  # type: ignore[union-attr]
-            )
-            return cls(
-                request_hash=str(raw["request_hash"]),
-                steps=steps,
-                expected_latency=float(raw["expected_latency"]),  # type: ignore[arg-type]
-                expected_energy=float(raw["expected_energy"]),  # type: ignore[arg-type]
-                source=str(raw.get("source", "computed")),
-                schema=int(raw.get("schema", DECISION_SCHEMA_VERSION)),  # type: ignore[call-overload]
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigurationError(f"malformed decision plan: {error}") from None
+        return from_mapping(cls, raw, steps=PlanStep.from_dict)
 
     @classmethod
     def from_schedule(

@@ -10,10 +10,12 @@ needing to know about each other.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Mapping
+from typing import Optional, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -23,6 +25,8 @@ Seconds = float
 Joules = float
 Watts = float
 GHz = float
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, order=True)
@@ -252,21 +256,38 @@ class EnergyLedger:
             self.extras[category] = self.extras.get(category, 0.0) + amount
 
 
-def require_positive(name: str, value: float) -> float:
+def require_number(
+    name: str,
+    value: object,
+    within: Optional[Callable[[float], bool]] = None,
+    expect: str = "be a finite number",
+) -> float:
+    """Validate a finite real number that satisfies ``within``; return a float.
+
+    An integral ``value`` (``10``, as JSON may carry ``10.0``) normalizes
+    to ``float``.  Booleans, non-numbers, NaN, infinities and values
+    outside ``within`` raise :class:`ConfigurationError` reading
+    ``"{name} must {expect}, got {value!r}"``.
+    """
+    if not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (within is None or within(value))
+    ):
+        raise ConfigurationError(f"{name} must {expect}, got {value!r}")
+    return float(value)
+
+
+def require_positive(name: str, value: object) -> float:
     """Validate that ``value`` is a finite positive number and return it."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
+    return require_number(name, value, lambda v: v > 0, "be a finite positive number")
 
 
-def require_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
+def require_fraction(name: str, value: object, *, inclusive: bool = True) -> float:
     """Validate that ``value`` lies in [0, 1] (or (0, 1) if not inclusive)."""
-    ok = isinstance(value, (int, float)) and math.isfinite(value)
-    if ok:
-        ok = 0.0 <= value <= 1.0 if inclusive else 0.0 < value < 1.0
-    if not ok:
-        raise ConfigurationError(f"{name} must lie in the unit interval, got {value!r}")
-    return float(value)
+    within = (lambda v: 0.0 <= v <= 1.0) if inclusive else (lambda v: 0.0 < v < 1.0)
+    return require_number(name, value, within, "lie in the unit interval")
 
 
 def require_whole(name: str, value: object, *, minimum: int = 0) -> int:
@@ -289,3 +310,63 @@ def require_whole(name: str, value: object, *, minimum: int = 0) -> int:
             f"{name} must be a whole number >= {minimum}, got {value!r}"
         )
     return whole
+
+
+def require_text(name: str, value: object, *, empty: bool = False) -> str:
+    """Validate that ``value`` is a string, non-empty unless ``empty``."""
+    if not isinstance(value, str) or not (empty or value):
+        kind = "string" if empty else "non-empty string"
+        raise ConfigurationError(f"{name} must be a {kind}, got {value!r}")
+    return value
+
+
+def require_flag(name: str, value: object) -> bool:
+    """Validate that ``value`` is a bool: JSON ``true``/``false``, never 0, 1 or a string."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def require_items(name: str, value: object, kind: type[_T]) -> tuple[_T, ...]:
+    """Validate a list or tuple of ``kind`` instances; return it as a tuple."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(i, kind) for i in value):
+        raise ConfigurationError(f"{name} must be a list of {kind.__name__}, got {value!r}")
+    return tuple(value)
+
+
+def from_mapping(
+    cls: type[_T],
+    raw: object,
+    *,
+    skip: tuple[str, ...] = (),
+    **readers: Callable[[object], object],
+) -> _T:
+    """Build the dataclass ``cls`` from the JSON object ``raw``; its constructor checks the values.
+
+    Here only the keys are checked, naming the key: each must be a field of
+    ``cls`` (or in ``skip``, such as a ``"kind"`` tag), and every field
+    without a default must be present.  A field in ``readers`` (a nested
+    spec) goes through its reader first, item by item for a list.
+    """
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(f"{cls.__name__} must be a JSON object, got {raw!r}")
+    fields = {spec.name: spec for spec in dataclasses.fields(cls)}  # type: ignore[arg-type]
+    for key in raw:
+        if key not in fields and key not in skip:
+            raise ConfigurationError(f"{cls.__name__} has no field {key!r}")
+    for name, spec in fields.items():
+        if name not in raw and dataclasses.MISSING is spec.default is spec.default_factory:
+            raise ConfigurationError(f"{cls.__name__} is missing field {name!r}")
+    values = {key: value for key, value in raw.items() if key not in skip}
+    for name, reader in readers.items():
+        if name in values:
+            value = values[name]
+            try:
+                values[name] = (
+                    [reader(item) for item in value]
+                    if isinstance(value, list)
+                    else reader(value)
+                )
+            except ConfigurationError as error:
+                raise ConfigurationError(f"{name}: {error}") from None
+    return cls(**values)

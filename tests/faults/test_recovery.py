@@ -40,6 +40,25 @@ class TestRecoveryPolicy:
         )
         assert RecoveryPolicy.from_dict(policy.to_dict()) == policy
 
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ({"checkpoint_interval": 2.7}, "checkpoint_interval"),
+            ({"escalation_rounds": "3"}, "escalation_rounds"),
+            ({"restore_on_corruption": "false"}, "restore_on_corruption"),
+            ({"escalate_on_anomaly": 0}, "escalate_on_anomaly"),
+        ],
+    )
+    def test_from_dict_rejects_ill_typed_fields(self, payload, field):
+        """``2.7`` used to truncate to 2 and ``"false"`` to read as true."""
+        with pytest.raises(ConfigurationError, match=field):
+            RecoveryPolicy.from_dict(payload)
+
+    def test_from_dict_fills_absent_fields_from_the_defaults(self):
+        assert RecoveryPolicy.from_dict({}) == RecoveryPolicy()
+        with pytest.raises(ConfigurationError, match="'interval'"):
+            RecoveryPolicy.from_dict({"interval": 2})
+
     def test_hashable_for_cache_keys(self):
         assert {RecoveryPolicy(): "hit"}[RecoveryPolicy()] == "hit"
         assert RecoveryPolicy() != NO_RECOVERY

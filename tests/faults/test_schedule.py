@@ -28,6 +28,19 @@ class TestFaultSpecValidation:
             with pytest.raises(ConfigurationError, match="fraction"):
                 FaultSpec(kind=kind, start_round=0, magnitude=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.9, "3", None, True])
+    def test_start_round_must_be_a_whole_number(self, value):
+        with pytest.raises(ConfigurationError, match="start_round"):
+            FaultSpec("sensor_outage", start_round=value)
+        payload = {"kind": "sensor_outage", "start_round": value, "rounds": 1, "magnitude": 0.5}
+        with pytest.raises(ConfigurationError, match="start_round"):
+            FaultSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(("field", "value"), [("rounds", 1.5), ("magnitude", True)])
+    def test_rounds_and_magnitude_are_typed(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            FaultSpec("straggler", start_round=0, **{field: value})
+
     def test_window_semantics(self):
         spec = FaultSpec(kind="straggler", start_round=3, rounds=2, magnitude=1.5)
         assert spec.end_round == 5
@@ -108,6 +121,16 @@ class TestScheduleSemantics:
         schedule = FaultSchedule.generate(4, 10)
         assert {schedule: "cached"}[FaultSchedule.generate(4, 10)] == "cached"
 
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), True, "1", -1])
+    def test_seed_must_be_a_whole_number(self, seed):
+        """The seed is part of the campaign cache key; ``seed=1.5`` used to construct."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            FaultSchedule(seed=seed)
+
+    def test_integral_float_seed_normalizes(self):
+        assert FaultSchedule(seed=3.0) == FaultSchedule(seed=3)
+        assert type(FaultSchedule(seed=3.0).seed) is int
+
     def test_non_faultspec_members_rejected(self):
         with pytest.raises(ConfigurationError, match="FaultSpec"):
             FaultSchedule(faults=("straggler",))
@@ -125,6 +148,16 @@ class TestRoundtrip:
     def test_spec_from_dict_missing_field(self):
         with pytest.raises(ConfigurationError, match="missing field"):
             FaultSpec.from_dict({"kind": "straggler"})
+
+    def test_spec_from_dict_rejects_an_unknown_field(self):
+        with pytest.raises(ConfigurationError, match="'start'"):
+            FaultSpec.from_dict({"kind": "straggler", "start_round": 1, "start": 2})
+
+    def test_schedule_from_dict_names_a_bad_fault(self):
+        payload = FaultSchedule.generate(11, 15, n_faults=2).to_dict()
+        payload["faults"][1]["start_round"] = 2.9
+        with pytest.raises(ConfigurationError, match="faults: start_round"):
+            FaultSchedule.from_dict(payload)
 
     def test_generate_covers_every_kind(self):
         schedule = FaultSchedule.generate(0, 40, n_faults=len(FAULT_KINDS))

@@ -35,6 +35,25 @@ class TestEvent:
         with pytest.raises(ConfigurationError):
             Event.from_dict("not a dict")
 
+    @pytest.mark.parametrize(
+        ("raw", "field"),
+        [
+            ({"kind": "x", "t": "abc"}, "t"),
+            ({"kind": "x", "t": True}, "t"),
+            ({"kind": "x", "t": float("nan")}, "t"),
+            ({"kind": "x", "t": None}, "t"),
+            ({"kind": 3, "t": 1.0}, "kind"),
+            ({"kind": "", "t": 1.0}, "kind"),
+        ],
+    )
+    def test_from_dict_names_an_ill_typed_kind_or_time(self, raw, field):
+        """``"t": "abc"`` used to escape as a bare ValueError, ``true`` to read as 1.0."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must"):
+            Event.from_dict(raw)
+
+    def test_from_dict_defaults_a_missing_time(self):
+        assert Event.from_dict({"kind": "x", "n": 1}) == Event(kind="x", payload={"n": 1})
+
 
 class TestEventLog:
     def test_emit_retains_and_counts(self):

@@ -7,6 +7,8 @@ summation order) with what the ``tab3_walkthrough`` and ``fig13_overhead``
 drivers compute from the campaign results directly.
 """
 
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -137,6 +139,47 @@ class TestFig13CrossCheck:
     def test_requires_a_bofl_campaign(self):
         with pytest.raises(ConfigurationError, match="no bofl campaign"):
             fig13_payload_from_trace([])
+
+
+class _OneShot:
+    """A one-shot event source that counts how many of its events are alive.
+
+    Each event it yields is a fresh copy, so ``peak`` is the most events a
+    consumer held at once.
+    """
+
+    def __init__(self, events):
+        self._events = events
+        self._iterated = False
+        self.alive = 0
+        self.peak = 0
+
+    def _release(self):
+        self.alive -= 1
+
+    def __iter__(self):
+        assert not self._iterated, "a one-shot stream was read twice"
+        self._iterated = True
+        for event in self._events:
+            copy = Event(kind=event.kind, t=event.t, payload=dict(event.payload))
+            weakref.finalize(copy, self._release)
+            self.alive += 1
+            self.peak = max(self.peak, self.alive)
+            yield copy
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("view", ["summary", "tab3", "fig13"])
+    def test_view_renders_from_a_one_shot_iterator(self, traced_events, view):
+        """The campaign views hold one campaign's events, never the stream:
+        the bracketed campaign sits between two runs of unbracketed events."""
+        events, _ = traced_events
+        filler = [Event(kind="executor.cell", t=float(i), payload={"cell": i}) for i in range(500)]
+        stream = filler + events + filler
+        source = _OneShot(stream)
+        assert render_view(iter(source), view) == render_view(stream, view)
+        # The open campaign, the event in hand and the one being copied.
+        assert source.peak <= len(events) + 2
 
 
 class TestSummaryView:

@@ -190,6 +190,43 @@ class TestStateRoundTrip:
             PBTState.from_dict({"kind": "pbt_state", "next_generation": value})
 
 
+class TestMemberRecord:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("generation", 1.5),
+            ("member", "0"),
+            ("score", float("nan")),
+            ("score", float("-inf")),
+            ("mean_latency", float("inf")),
+            ("aggregations", True),
+            ("total_energy", None),
+            ("controller", "pbt"),
+            ("spec", "fedgpo"),
+        ],
+    )
+    def test_from_dict_rejects_ill_typed_fields(self, field, value):
+        """``"generation": 1.5`` used to truncate to 1 and ``"score": NaN`` to stay."""
+        raw = json.loads(json.dumps({**record().to_dict(), field: value}))
+        with pytest.raises(ConfigurationError, match=field):
+            MemberRecord.from_dict(raw)
+
+    def test_a_member_without_aggregations_scores_infinity(self):
+        worst = record(score=float("inf"))
+        assert MemberRecord.from_dict(json.loads(json.dumps(worst.to_dict()))) == worst
+
+    def test_the_baseline_round_trips(self):
+        baseline = record(generation=-1, member=-1)
+        assert MemberRecord.from_dict(baseline.to_dict()) == baseline
+
+    def test_from_dict_names_missing_and_unknown_fields(self):
+        raw = record().to_dict()
+        with pytest.raises(ConfigurationError, match="missing field 'makespan'"):
+            MemberRecord.from_dict({k: v for k, v in raw.items() if k != "makespan"})
+        with pytest.raises(ConfigurationError, match="'wall'"):
+            MemberRecord.from_dict({**raw, "wall": 1.0})
+
+
 class TestRunPBT:
     def test_rejects_fleet_with_servertune(self):
         tuned = FleetSpec(

@@ -101,6 +101,37 @@ class TestDecisionRequest:
         with pytest.raises(ConfigurationError, match="jobs must be a whole"):
             DecisionRequest.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("deadline", True),
+            ("deadline", "60"),
+            ("safety_margin", False),
+            ("device", 3),
+            ("task", None),
+            ("client_id", None),
+        ],
+    )
+    def test_ill_typed_fields_are_rejected(self, field, value):
+        """``deadline=True`` used to construct as a 1-second deadline, and the
+        reader turned ``"client_id": null`` into client ``"None"``."""
+        with pytest.raises(ConfigurationError, match=field):
+            _request(**{field: value})
+        raw = {**_request().to_dict(), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            DecisionRequest.from_dict(raw)
+
+    def test_from_dict_names_unknown_and_missing_fields(self):
+        with pytest.raises(ConfigurationError, match="'deadlne'"):
+            DecisionRequest.from_dict({**_request().to_dict(), "deadlne": 60.0})
+        with pytest.raises(ConfigurationError, match="missing field 'deadline'"):
+            DecisionRequest.from_dict({"device": "agx", "task": "vit", "jobs": 10})
+
+    def test_from_dict_fills_optional_fields_from_the_defaults(self):
+        raw = {"device": "agx", "task": "vit", "jobs": 100, "deadline": 60}
+        request = DecisionRequest.from_dict(raw)
+        assert request == _request() and type(request.deadline) is float
+
     def test_direct_construction_rejects_the_same_values(self):
         with pytest.raises(ConfigurationError):
             _request(deadline=float("nan"))
@@ -142,6 +173,33 @@ class TestDecisionPlan:
         again = DecisionPlan.from_dict(plan.to_dict())
         assert again == plan
         assert again.steps[0].frequencies == (2.2, 1.3, 2.1)
+
+    @pytest.mark.parametrize(
+        ("step", "field"),
+        [
+            ({"frequencies": [2.2, 1.3, 2.1], "jobs": 3.5}, "jobs"),
+            ({"frequencies": [2.2, 1.3, 2.1], "jobs": True}, "jobs"),
+            ({"frequencies": [2.2, float("nan"), 2.1], "jobs": 3}, "frequencies"),
+            ({"frequencies": "2.2", "jobs": 3}, "frequencies"),
+            ({"jobs": 3}, "frequencies"),
+        ],
+    )
+    def test_from_dict_rejects_an_ill_typed_step(self, step, field):
+        """A step's ``"jobs": 3.5`` used to truncate to 3."""
+        raw = DecisionPlan.from_schedule("abc", _schedule()).to_dict()
+        raw["steps"][0] = step
+        with pytest.raises(ConfigurationError, match=f"steps: .*{field}"):
+            DecisionPlan.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("expected_energy", "900"), ("expected_latency", float("inf")),
+         ("schema", 1.5), ("request_hash", None), ("steps", {"jobs": 1})],
+    )
+    def test_from_dict_rejects_ill_typed_fields(self, field, value):
+        raw = {**DecisionPlan.from_schedule("abc", _schedule()).to_dict(), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            DecisionPlan.from_dict(raw)
 
     def test_source_is_validated(self):
         with pytest.raises(ConfigurationError):

@@ -99,6 +99,22 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         assert cache.get(_key()) is None
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("energy", "abc"), ("missed", "no"), ("jobs", 2.5), ("deadline", None)],
+    )
+    def test_an_ill_typed_record_is_a_miss_never_a_hit(self, cache, field, value):
+        """A parseable entry whose record carries a wrong type used to load:
+        ``"energy": "abc"`` as a hit that later died in ``total_energy``,
+        ``"missed": "no"`` as a silently missed round."""
+        cache.put(_key(), _result())
+        path = cache.path_for(_key())
+        payload = json.loads(path.read_text())
+        payload["campaign"]["records"][0][field] = value
+        path.write_text(json.dumps(payload))
+        assert cache.get(_key()) is None
+        assert cache.stats().hits == 0
+
     def test_key_token_mismatch_is_a_miss(self, cache):
         cache.put(_key(), _result())
         path = cache.path_for(_key())

@@ -379,6 +379,27 @@ class TestServiceCommands:
         assert "request line 2" in err
         assert "deadline must be positive and finite" in err
 
+    def test_serve_rejects_an_ill_typed_request_before_answering(self, tmp_path, capsys):
+        """A boolean deadline used to be served as a 1-second deadline for
+        client ``"None"``, exiting 0 with an x_max plan that misses it."""
+        stream = tmp_path / "typed.jsonl"
+        stream.write_text(
+            '{"device": "agx", "task": "vit", "jobs": 50, "deadline": 60.0}\n'
+            '{"device":"agx","task":"vit","jobs":10,"deadline":true,"client_id":null}\n'
+        )
+        assert main(["serve", str(stream)]) == 1
+        captured = capsys.readouterr()
+        assert "request line 2: deadline must be positive and finite, got True" in captured.err
+        assert captured.out == ""
+
+    def test_serve_names_a_null_client_id(self, tmp_path, capsys):
+        stream = tmp_path / "null.jsonl"
+        stream.write_text(
+            '{"device": "agx", "task": "vit", "jobs": 10, "deadline": 9.0, "client_id": null}\n'
+        )
+        assert main(["serve", str(stream)]) == 1
+        assert "request line 1: client_id must be a string, got None" in capsys.readouterr().err
+
     def test_serve_names_the_line_with_an_unknown_device(self, tmp_path, capsys):
         stream = tmp_path / "nano.jsonl"
         stream.write_text(

@@ -13,8 +13,13 @@ from repro.types import (
     RoundBudget,
     Schedule,
     ScheduleEntry,
+    from_mapping,
+    require_flag,
     require_fraction,
+    require_items,
+    require_number,
     require_positive,
+    require_text,
     require_whole,
 )
 
@@ -159,6 +164,48 @@ class TestValidators:
         for bad in (0, -1, float("nan")):
             with pytest.raises(ConfigurationError):
                 require_positive("x", bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_numbers_are_never_bools(self, flag):
+        """``require_positive("deadline", True)`` used to return 1.0."""
+        for check in (require_positive, require_fraction, require_number):
+            with pytest.raises(ConfigurationError, match="x must"):
+                check("x", flag)
+
+    def test_require_number(self):
+        assert require_number("x", -3) == -3.0 and type(require_number("x", 2)) is float
+        assert require_number("x", 0.5, lambda v: v < 1, "be < 1") == 0.5
+        for bad in (float("nan"), float("inf"), float("-inf"), "1.0", None, [1.0]):
+            with pytest.raises(ConfigurationError, match="x must be a finite number"):
+                require_number("x", bad)
+        with pytest.raises(ConfigurationError, match="x must be < 1, got 2"):
+            require_number("x", 2, lambda v: v < 1, "be < 1")
+
+    def test_require_text_and_flag(self):
+        assert require_text("s", "a") == "a"
+        assert require_text("s", "", empty=True) == ""
+        for bad in ("", None, 3, b"a"):
+            with pytest.raises(ConfigurationError, match="s must be a non-empty string"):
+                require_text("s", bad)
+        assert require_flag("f", False) is False
+        for bad in (0, 1, "false", None):
+            with pytest.raises(ConfigurationError, match="f must be true or false"):
+                require_flag("f", bad)
+
+    def test_require_items(self):
+        assert require_items("xs", [1, 2], int) == (1, 2)
+        for bad in ((1, "2"), "12", None):
+            with pytest.raises(ConfigurationError, match="xs must be a list of int"):
+                require_items("xs", bad, int)
+
+    def test_from_mapping_names_missing_and_unknown_keys(self):
+        assert from_mapping(ScheduleEntry, {"config": DvfsConfiguration(1, 1, 1), "jobs": 2}).jobs == 2
+        with pytest.raises(ConfigurationError, match="ScheduleEntry is missing field 'jobs'"):
+            from_mapping(ScheduleEntry, {"config": DvfsConfiguration(1, 1, 1)})
+        with pytest.raises(ConfigurationError, match="ScheduleEntry has no field 'job'"):
+            from_mapping(ScheduleEntry, {"config": DvfsConfiguration(1, 1, 1), "jobs": 2, "job": 2})
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            from_mapping(ScheduleEntry, [1, 2])
 
     def test_require_fraction(self):
         assert require_fraction("x", 0.0) == 0.0
